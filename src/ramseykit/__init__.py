@@ -3,8 +3,8 @@ counting machinery backing them.
 
 The package splits into: seeded random lifts whose tight-cycle lengths
 are forced into one residue class (`construction`), exact cycle and
-independence scans over small hypergraphs (`hypergraph`, with optional
-compiled kernels), an exhaustively verifiable vertex-insertion game
+independence scans over small hypergraphs (`hypergraph`, pure Python
+over bitmask vertex sets), an exhaustively verifiable vertex-insertion game
 (`game`), per-edge-injective homomorphism search (`homomorphism`), and
 iterated ideal posets with width certificates (`poset`).  Everything
 randomized consumes one explicit 64-bit seed.

@@ -31,11 +31,8 @@ from typing import Optional, Sequence
 from .hypergraph import Hypergraph, contains_tight_cycle, independence_number_exact
 from .rng import SplitMix64, check_seed, derive_seed
 
-# A pair graph is just a role-named hypergraph of the source uniformity.
-PairGraph = Hypergraph
 
-
-def sample_graph(order: int, n: int, seed: int) -> PairGraph:
+def sample_graph(order: int, n: int, seed: int) -> Hypergraph:
     """Random order-uniform graph: each candidate edge kept with probability 1/2.
 
     Candidates are enumerated in lexicographic order and consume one fair
@@ -52,7 +49,7 @@ def sample_graph(order: int, n: int, seed: int) -> PairGraph:
     return Hypergraph(order, n, edges)
 
 
-def adjacency_masks(G: PairGraph) -> list[int]:
+def adjacency_masks(G: Hypergraph) -> list[int]:
     """Bitmask neighborhoods of a pair graph (order 2)."""
     if G.k != 2:
         raise ValueError(f"adjacency masks need order 2, got {G.k}")
@@ -63,7 +60,7 @@ def adjacency_masks(G: PairGraph) -> list[int]:
     return adj
 
 
-def build_h3(G: PairGraph) -> Hypergraph:
+def build_h3(G: Hypergraph) -> Hypergraph:
     """Lift a pair graph to the 3-graph of the asymmetric rule.
 
     For i < j < k the triple is an edge iff ij and ik are present and jk
@@ -89,7 +86,7 @@ def build_h3(G: PairGraph) -> Hypergraph:
     return Hypergraph(3, n, edges)
 
 
-def build_hk(G: PairGraph, k: int) -> Hypergraph:
+def build_hk(G: Hypergraph, k: int) -> Hypergraph:
     """Lift a (k-1)-graph to the k-graph of the general asymmetric rule.
 
     e = {i1 < ... < ik} is an edge iff the (k-1)-subset omitting the

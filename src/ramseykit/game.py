@@ -143,17 +143,6 @@ def _red_witness_ok(labels, quad) -> bool:
     return all(edge_color(labels[x], labels[y]) == RED for x, y in need)
 
 
-def detect_red_k4_minus_brute(state: GameState) -> Optional[tuple[int, int, int, int]]:
-    """Direct scan over all 4-tuples; the oracle for the trie detector."""
-    from itertools import combinations
-
-    labels = state.labels
-    for quad in combinations(range(len(labels)), 4):
-        if _red_witness_ok(labels, quad):
-            return quad
-    return None
-
-
 def detect_blue_clique(state: GameState, q: int) -> Optional[tuple[int, ...]]:
     """Find q vertices pairwise joined by exposed blue edges.
 
@@ -191,21 +180,6 @@ def _blue_witness_ok(labels, vs) -> bool:
     from itertools import combinations
 
     return all(edge_color(labels[x], labels[y]) == BLUE for x, y in combinations(vs, 2))
-
-
-def detect_blue_clique_brute(state: GameState, q: int) -> Optional[tuple[int, ...]]:
-    """Direct scan over all q-subsets; the oracle for the chain detector."""
-    from itertools import combinations
-
-    labels = state.labels
-    if q < 1:
-        raise ValueError(f"clique size must be positive, got {q}")
-    if q == 1:
-        return (0,) if labels else None
-    for vs in combinations(range(len(labels)), q):
-        if _blue_witness_ok(labels, vs):
-            return vs
-    return None
 
 
 def _wins_red(new_label: str, frozen: Iterable[str]) -> bool:
@@ -415,10 +389,6 @@ class VerificationReport:
     vertex_bound: int  # asserted: max_vertices <= this
     red_slack: int  # asserted: red_edges <= 3*vertices + red_slack on every branch
     edge_slack: int  # asserted: total_edges <= (t+1)*vertices + edge_slack
-
-    @property
-    def ok(self) -> bool:
-        return True  # construction raises instead of returning a bad report
 
 
 def exhaustive_verify(

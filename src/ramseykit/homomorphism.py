@@ -5,6 +5,16 @@ of F to a set of k DISTINCT vertices forming an edge of G.  Global
 injectivity is not required: such a map exists exactly when F embeds in
 some blowup of G, with the needed blowup order equal to the largest
 fiber of the map.
+
+A ``None`` answer is proved in one of two ways.  The *period
+certificate*: a homomorphism phi sends each arc (x1..x_{k-1}) ->
+(x2..x_k) of F's tight-walk digraph (see ``Hypergraph.periods``) to an
+arc of G's, so each strongly connected component of F lands inside one
+component of G, and closed walks keep their lengths.  That component's
+period therefore divides the F component's period; when some period of
+F is a multiple of no period of G, no homomorphism exists.  For k = 2
+this is the rule that an odd cycle maps into no bipartite graph.
+Otherwise ``None`` comes from the exhaustive backtracking search.
 """
 
 from __future__ import annotations
@@ -91,6 +101,12 @@ def _search_order(F: Hypergraph) -> list[int]:
     return order
 
 
+def _period_forbids(F: Hypergraph, G: Hypergraph) -> bool:
+    """True when some component period of F is a multiple of no period of G."""
+    G_periods = G.periods()
+    return any(all(q % p for p in G_periods) for q in F.periods())
+
+
 def exists_homomorphism(F: Hypergraph, G: Hypergraph) -> Optional[VertexMapping]:
     """Backtracking search for a homomorphism F -> G.
 
@@ -98,13 +114,15 @@ def exists_homomorphism(F: Hypergraph, G: Hypergraph) -> Optional[VertexMapping]
     order and candidate images are tried by ascending (current fiber load,
     vertex index), which keeps fibers small and finds the identity on
     (F, F).  Returns the mapping as a tuple indexed by F's vertices, or
-    None when the exhaustive search closes empty.
+    None.  None is proved by the period certificate when some component
+    period of ``F.periods()`` is a multiple of no period in
+    ``G.periods()``, and otherwise by the exhaustive search closing empty.
     """
     if F.k != G.k:
         raise ValueError(f"uniformity mismatch: {F.k} vs {G.k}")
     if F.n == 0:
         return ()
-    if G.n == 0:
+    if G.n == 0 or _period_forbids(F, G):
         return None
     order = _search_order(F)
     position = {u: i for i, u in enumerate(order)}

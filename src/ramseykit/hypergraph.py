@@ -31,15 +31,11 @@ import itertools
 import math
 from typing import Iterable, Optional
 
-_KERNEL_CAP = 64  # bit-packed fast paths cover k=3 instances up to this n
-
 
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertex set range(n)."""
 
-    __slots__ = (
-        "k", "n", "edges", "_edge_set", "_completions_cache", "_periods_cache", "_link_cache",
-    )
+    __slots__ = ("k", "n", "edges", "_edge_set", "_completions_cache", "_periods_cache")
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
         if k < 2:
@@ -60,7 +56,6 @@ class Hypergraph:
         self._edge_set = frozenset(self.edges)
         self._completions_cache = None
         self._periods_cache = None
-        self._link_cache = None
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -109,21 +104,6 @@ class Hypergraph:
         if self._periods_cache is None:
             self._periods_cache = _walk_periods(self.completions())
         return self._periods_cache
-
-    def link_masks(self) -> dict[tuple[int, int], int]:
-        """For 3-graphs: symmetric map (u, v) -> bitmask of w with {u,v,w} an edge."""
-        if self.k != 3:
-            raise ValueError("link masks are defined for 3-graphs only")
-        if self._link_cache is None:
-            link: dict[tuple[int, int], int] = {}
-            for a, b, c in self.edges:
-                link[a, b] = link.get((a, b), 0) | (1 << c)
-                link[a, c] = link.get((a, c), 0) | (1 << b)
-                link[b, c] = link.get((b, c), 0) | (1 << a)
-            for (u, v), mask in list(link.items()):
-                link[v, u] = mask
-            self._link_cache = link
-        return self._link_cache
 
 
 def complete(k: int, n: int) -> Hypergraph:
@@ -218,11 +198,6 @@ def contains_tight_cycle(H: Hypergraph, s: int) -> bool:
         return bool(H.edges)
     if not _period_allows(H, s):
         return False
-    if k == 3 and H.n <= _KERNEL_CAP:
-        from . import kernels
-
-        if kernels.AVAILABLE:
-            return s in kernels.cycle_scan3(H, {s})
     return s in _scan_cycles(H, {s})
 
 
@@ -241,13 +216,6 @@ def cycle_spectrum(H: Hypergraph, s_max: int) -> set[int]:
     if k != 3 and k <= cap and H.edges:
         found.add(k)
     targets = {s for s in range(k + 1, cap + 1) if _period_allows(H, s)}
-    if not targets:
-        return found
-    if k == 3 and H.n <= _KERNEL_CAP:
-        from . import kernels
-
-        if kernels.AVAILABLE:
-            return found | kernels.cycle_scan3(H, targets)
     return found | set(_scan_cycles(H, targets))
 
 
@@ -341,7 +309,7 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
         raise ValueError(f"instance too large: n={H.n} exceeds the cap {cap}")
     if H.n == 0:
         return 0
-    if H.k == 3 and H.n <= _KERNEL_CAP:
+    if H.k == 3:
         return _alpha3_bitmask(H)
     return _alpha_generic(H)
 
@@ -352,7 +320,7 @@ def _degree_order(H: Hypergraph) -> list[int]:
 
 
 def _alpha3_bitmask(H: Hypergraph) -> int:
-    """3-graph branch and bound over bit-packed vertex sets (n <= 64)."""
+    """3-graph branch and bound over bit-packed vertex sets (Python ints, any n)."""
     n = H.n
     order = _degree_order(H)
     rank = {v: i for i, v in enumerate(order)}
@@ -366,11 +334,6 @@ def _alpha3_bitmask(H: Hypergraph) -> int:
         link[c][a] |= 1 << b
         link[b][c] |= 1 << a
         link[c][b] |= 1 << a
-
-    from . import kernels
-
-    if kernels.AVAILABLE:
-        return kernels.alpha3(link, n, len(independence_greedy(H)))
 
     best = len(independence_greedy(H))
     chosen: list[int] = []

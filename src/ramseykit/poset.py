@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Sequence
 
-import numpy as np
-
 DEFAULT_IDEAL_CAP = 10**6
 
 
@@ -153,43 +151,73 @@ def build_J(level: int, t: int, k: int, cap: int = DEFAULT_IDEAL_CAP) -> Poset:
     return P
 
 
-def _strict_pairs(P: Poset) -> tuple[list[int], list[int]]:
-    rows, cols = [], []
+def _up_masks(P: Poset) -> list[int]:
+    """up[x] is the bitmask of all y with x < y."""
+    up = [0] * P.p
     for y in range(P.p):
         m = P.down[y] & ~(1 << y)
         while m:
-            x = (m & -m).bit_length() - 1
-            m &= m - 1
-            rows.append(x)
+            low = m & -m
+            m ^= low
+            up[low.bit_length() - 1] |= 1 << y
+    return up
+
+
+def _strict_matching(up: list[int]) -> tuple[list[int], list[int]]:
+    """Maximum matching of the strict comparability bipartite graph.
+
+    Lower copy x is joined to upper copy y when x < y, i.e. when bit y of
+    ``up[x]`` is set.  A greedy matching is grown to a maximum one by
+    augmenting paths (Kuhn's DFS, iterative, with the visited upper
+    copies kept in one ``seen`` mask).  Returns the upper copy matched to
+    each lower copy and the lower copy matched to each upper copy, -1
+    where unmatched.
+    """
+    p = len(up)
+    match_of_row = [-1] * p
+    match_of_col = [-1] * p
+    free = (1 << p) - 1  # upper copies not matched yet
+    for x in range(p):
+        m = up[x] & free
+        if m:
+            y = (m & -m).bit_length() - 1
+            match_of_row[x] = y
+            match_of_col[y] = x
+            free ^= 1 << y
+    for root in range(p):
+        if match_of_row[root] != -1:
+            continue
+        seen = 0
+        rows, cols = [root], []  # the alternating path: rows[i] -> cols[i]
+        while rows:
+            cand = up[rows[-1]] & ~seen
+            if not cand:
+                rows.pop()
+                if cols:
+                    cols.pop()
+                continue
+            hit = cand & free
+            if hit:
+                y = (hit & -hit).bit_length() - 1
+                cols.append(y)
+                free ^= 1 << y
+                for x, y in zip(rows, cols):
+                    match_of_row[x] = y
+                    match_of_col[y] = x
+                break
+            y = (cand & -cand).bit_length() - 1
+            seen |= 1 << y
             cols.append(y)
-    return rows, cols
-
-
-def _strict_matching(P: Poset) -> np.ndarray:
-    """Maximum matching of the strict comparability bipartite graph,
-    as an array mapping each left vertex to its column (-1 unmatched)."""
-    # imported here, not at module level: scipy.sparse takes about 30 MiB
-    # of memory on import, and only the width computations need it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    rows, cols = _strict_pairs(P)
-    if not rows:
-        return np.full(P.p, -1, dtype=np.int64)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(P.p, P.p)
-    )
-    return maximum_bipartite_matching(graph, perm_type="column").astype(np.int64)
+            rows.append(match_of_col[y])
+    return match_of_row, match_of_col
 
 
 def max_antichain(P: Poset) -> int:
     """Exact width by minimum chain cover: p minus a maximum matching of
-    the strict comparability bipartite graph."""
-    if P.p == 0:
-        return 0
-    matching = _strict_matching(P)
-    matched = int((matching != -1).sum())
-    return P.p - matched
+    the strict comparability bipartite graph, i.e. the number of lower
+    copies left unmatched (Dilworth, via König)."""
+    match_of_row, _ = _strict_matching(_up_masks(P))
+    return match_of_row.count(-1)
 
 
 def antichain_witness(P: Poset) -> tuple[int, ...]:
@@ -199,21 +227,14 @@ def antichain_witness(P: Poset) -> tuple[int, ...]:
     the upper end of its strict relations.  Elements whose lower copy is
     reachable from an unmatched lower copy by an alternating path, and
     whose upper copy is not, avoid the minimum vertex cover entirely, so
-    no strict relation can join two of them.
+    no strict relation can join two of them.  Both reachable sets are the
+    same for every maximum matching (Dulmage-Mendelsohn), so the witness
+    does not depend on which maximum matching was found.
     """
     p = P.p
-    if p == 0:
-        return ()
-    match_of_row = _strict_matching(P)
-    match_of_col = [-1] * p
-    for x in range(p):
-        if match_of_row[x] != -1:
-            match_of_col[match_of_row[x]] = x
-    up = [0] * p  # strict upward neighbours of each lower copy
-    rows, cols = _strict_pairs(P)
-    for x, y in zip(rows, cols):
-        up[x] |= 1 << y
-    in_left = [match_of_row[x] == -1 for x in range(p)]
+    up = _up_masks(P)
+    match_of_row, match_of_col = _strict_matching(up)
+    in_left = [y == -1 for y in match_of_row]
     in_right = [False] * p
     queue = [x for x in range(p) if in_left[x]]
     while queue:
@@ -222,7 +243,7 @@ def antichain_witness(P: Poset) -> tuple[int, ...]:
         while m:
             y = (m & -m).bit_length() - 1
             m &= m - 1
-            if in_right[y] or match_of_row[x] == y:
+            if in_right[y]:
                 continue
             in_right[y] = True
             back = match_of_col[y]

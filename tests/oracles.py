@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ramseykit.game import BLUE, RED, edge_color
 from ramseykit.hypergraph import Hypergraph
 from ramseykit.rng import SplitMix64
 
@@ -126,3 +127,54 @@ def brute_width(P) -> int:
             ):
                 return size
     return 0
+
+
+def brute_matching_size(P) -> int:
+    """Maximum matching of the strict comparability bipartite graph.
+
+    Lower copy x is joined to upper copy y when x < y.  Plain augmenting
+    paths over adjacency sets, one recursive search per lower copy: an
+    independent second opinion on the bitmask matching behind the width.
+    """
+    up = {x: {y for y in range(P.p) if P.less(x, y)} for x in range(P.p)}
+    owner: dict[int, int] = {}
+
+    def augment(x, seen) -> bool:
+        for y in sorted(up[x]):
+            if y in seen:
+                continue
+            seen.add(y)
+            if y not in owner or augment(owner[y], seen):
+                owner[y] = x
+                return True
+        return False
+
+    return sum(1 for x in range(P.p) if augment(x, set()))
+
+
+def detect_red_k4_minus_brute(state):
+    """Scan all 4-tuples for five red edges v1v2, v1v3, v1v4, v2v3, v2v4;
+    the oracle for the game's trie detector."""
+    labels = state.labels
+    for v1, v2, v3, v4 in itertools.combinations(range(len(labels)), 4):
+        need = [(v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4)]
+        if all(edge_color(labels[x], labels[y]) == RED for x, y in need):
+            return (v1, v2, v3, v4)
+    return None
+
+
+def detect_blue_clique_brute(state, q: int):
+    """Scan all q-subsets for a clique of exposed blue edges; the oracle
+    for the game's chain detector."""
+    labels = state.labels
+    if q < 1:
+        raise ValueError(f"clique size must be positive, got {q}")
+    if q == 1:
+        return (0,) if labels else None
+    for vs in itertools.combinations(range(len(labels)), q):
+        if all(
+            edge_color(labels[x], labels[y]) == BLUE
+            for x, y in itertools.combinations(vs, 2)
+        ):
+            return vs
+    return None

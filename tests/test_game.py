@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from oracles import detect_blue_clique_brute, detect_red_k4_minus_brute
 from ramseykit.game import (
     GameAborted,
     GameState,
@@ -12,9 +13,7 @@ from ramseykit.game import (
     all_blue,
     all_red,
     detect_blue_clique,
-    detect_blue_clique_brute,
     detect_red_k4_minus,
-    detect_red_k4_minus_brute,
     edge_color,
     exhaustive_verify,
     game_stats,

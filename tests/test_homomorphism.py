@@ -1,7 +1,10 @@
 import pytest
 
 from oracles import brute_homomorphism, random_hypergraph
+from ramseykit import homomorphism
+from ramseykit.construction import build_h3, sample_graph
 from ramseykit.homomorphism import (
+    _period_forbids,
     blowup,
     clone_vertex,
     embeds_in_blowup,
@@ -35,6 +38,48 @@ def test_search_agrees_with_brute_force():
         assert (got is None) == (brute is None), seed
         if got is not None:
             assert validate_homomorphism(F, G, got)
+
+
+def test_period_certificate_agrees_with_brute_force():
+    fired = 0
+    for k, n_F, n_G in [(2, 5, 5), (3, 5, 5), (4, 5, 5)]:
+        for seed in range(40):
+            F = random_hypergraph(k, n_F, seed, eighths=1 + seed % 4)
+            G = random_hypergraph(k, n_G, seed + 5000, eighths=1 + seed % 6)
+            brute = brute_homomorphism(F, G)
+            if _period_forbids(F, G):
+                fired += 1
+                assert brute is None, (k, seed)
+            got = exists_homomorphism(F, G)
+            assert (got is None) == (brute is None), (k, seed)
+            if got is not None:
+                assert validate_homomorphism(F, G, got)
+    # some absences must come from the certificate, not from the search
+    assert fired > 0
+
+
+def test_cycles_map_into_no_lift_off_residue(monkeypatch):
+    # every answer must come from the certificate: the search never starts
+    def no_search(F):
+        raise AssertionError("backtracking search started")
+
+    monkeypatch.setattr(homomorphism, "_search_order", no_search)
+    for seed in range(4):
+        lift = build_h3(sample_graph(2, 14, seed))
+        for s in (4, 5, 7, 8):
+            C = tight_cycle(3, s)
+            assert _period_forbids(C, lift), (seed, s)
+            assert exists_homomorphism(C, lift) is None, (seed, s)
+
+
+def test_odd_cycle_into_bipartite_graph():
+    K33 = Hypergraph(2, 6, [(a, b) for a in range(3) for b in range(3, 6)])
+    for s in (3, 5, 7):
+        assert _period_forbids(tight_cycle(2, s), K33)
+        assert exists_homomorphism(tight_cycle(2, s), K33) is None
+    for s in (4, 6, 8):
+        phi = exists_homomorphism(tight_cycle(2, s), K33)
+        assert phi is not None and validate_homomorphism(tight_cycle(2, s), K33, phi)
 
 
 def test_identity_found_on_self():

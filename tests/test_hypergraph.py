@@ -9,7 +9,6 @@ from oracles import (
     brute_spectrum,
     random_hypergraph,
 )
-from ramseykit import kernels
 from ramseykit.construction import build_h3, build_hk, sample_graph
 from ramseykit.hypergraph import (
     Hypergraph,
@@ -192,16 +191,6 @@ def test_lifts_have_periods_divisible_by_k():
         assert H.periods() and all(p % 4 == 0 for p in H.periods()), seed
 
 
-def test_pure_scan_agrees_with_kernel(monkeypatch):
-    if not kernels.AVAILABLE:
-        pytest.skip("compiled kernels unavailable")
-    cases = [(random_hypergraph(3, 9, seed, eighths=3), s) for seed in range(10) for s in (4, 5, 7)]
-    with_kernel = [contains_tight_cycle(H, s) for H, s in cases]
-    monkeypatch.setattr(kernels, "AVAILABLE", False)
-    without = [contains_tight_cycle(H, s) for H, s in cases]
-    assert with_kernel == without
-
-
 # ---------------------------------------------------------------------------
 # independent sets
 
@@ -227,15 +216,6 @@ def test_exact_alpha_matches_brute():
     for seed in range(6):
         H = random_hypergraph(4, 8, seed, eighths=4)
         assert independence_number_exact(H) == brute_alpha(H), seed
-
-
-def test_exact_alpha_pure_path(monkeypatch):
-    if not kernels.AVAILABLE:
-        pytest.skip("compiled kernels unavailable")
-    Hs = [random_hypergraph(3, 12, seed, eighths=3) for seed in range(6)]
-    with_kernel = [independence_number_exact(H) for H in Hs]
-    monkeypatch.setattr(kernels, "AVAILABLE", False)
-    assert [independence_number_exact(H) for H in Hs] == with_kernel
 
 
 def test_exact_alpha_size_cap():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oracles import brute_ideals, brute_width
+from oracles import brute_ideals, brute_matching_size, brute_width
 from ramseykit.poset import (
     IdealCapExceeded,
     Poset,
@@ -150,6 +150,31 @@ def test_antichain_witness_is_maximum_and_incomparable():
         assert len(wit) == max_antichain(P)
         for a, b in itertools.combinations(wit, 2):
             assert not P.less(a, b) and not P.less(b, a)
+
+
+def test_width_matches_matching_oracle_on_levels():
+    # the level-three posets the width certificates are computed on
+    cases = [(t, 3) for t in range(8, 27, 3)] + [(t, k) for t in (9, 12, 16) for k in (t - 4, t - 1)]
+    for t, k in cases:
+        P = build_J(3, t, k)
+        assert max_antichain(P) == P.p - brute_matching_size(P), (t, k)
+
+
+def test_width_matches_matching_oracle_on_random_posets():
+    for seed in range(30):
+        p = 20 + 2 * seed
+        P = _random_poset(p, seed + 1300, eighths=1 + seed % 3)
+        assert max_antichain(P) == P.p - brute_matching_size(P), seed
+        wit = antichain_witness(P)
+        assert len(wit) == max_antichain(P), seed
+        for a, b in itertools.combinations(wit, 2):
+            assert not P.less(a, b) and not P.less(b, a), seed
+
+
+def test_antichain_witness_frozen():
+    # the witness is the same for every maximum matching, so it is frozen
+    assert antichain_witness(build_J(3, 10, 3)) == (14, 18, 23, 29, 36)
+    assert antichain_witness(build_J(3, 9, 4)) == (9, 12, 16, 21)
 
 
 def test_width_edge_cases():
