@@ -1,14 +1,12 @@
 """Command line front end.
 
 Every subcommand is a thin wrapper over the library.  Tabular output is
-CSV with a header row, written UTF-8 with \\n line endings, and identical
-bytes no matter how many worker threads are configured.  Exit codes: 0
-for success or a verified property, 1 for a property violation (a
+CSV with a header row, written UTF-8 with \\n line endings.  Exit codes:
+0 for success or a verified property, 1 for a property violation (a
 counterexample artifact is written to a file), 2 for usage errors.
 
 Environment: RAMSEY_SEED supplies the default seed when --seed is
-omitted (0 if unset); RAMSEY_MAX_THREADS caps worker threads for the
-independence experiment.
+omitted (0 if unset).
 """
 
 from __future__ import annotations
@@ -33,17 +31,6 @@ def _env_seed() -> int:
         return check_seed(int(raw))
     except ValueError:
         raise _usage_error(f"bad RAMSEY_SEED value {raw!r}")
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("RAMSEY_MAX_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise _usage_error(f"bad RAMSEY_MAX_THREADS value {raw!r}")
-    if threads < 1:
-        raise _usage_error(f"RAMSEY_MAX_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _write_text(path: str, text: str) -> None:
@@ -95,13 +82,8 @@ def _cmd_check_cycles(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    n_values = args.n_values
     rows = construction.alpha_experiment(
-        n_values,
-        args.seeds_per_n,
-        args.seed,
-        cap=args.cap,
-        max_threads=args.max_threads,
+        args.n_values, args.seeds_per_n, args.seed, cap=args.cap
     )
     _emit(construction.alpha_rows_to_csv(rows), args.out)
     return 0
@@ -288,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-n", type=int, default=30)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", type=int, default=64)
-    p.add_argument("--max-threads", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_alpha, needs_seed=True)
 
@@ -357,8 +338,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "needs_seed", False) and args.seed is None:
         args.seed = _env_seed()
-    if getattr(args, "func", None) is _cmd_alpha and args.max_threads is None:
-        args.max_threads = _env_threads()
     try:
         return args.func(args)
     except SystemExit:

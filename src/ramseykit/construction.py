@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, contains_tight_cycle, independence_number_exact
+from .hypergraph import Hypergraph, cycle_spectrum, independence_number_exact
 from .rng import SplitMix64, check_seed, derive_seed
 
 
@@ -144,8 +144,6 @@ class SpectrumReport:
 
 def mod_spectrum_report(H: Hypergraph, s_max: int) -> SpectrumReport:
     """Scan all cycle lengths up to s_max and judge the mod-k invariant."""
-    from .hypergraph import cycle_spectrum
-
     k = H.k
     cap = min(s_max, H.n)
     lo = 4 if k == 3 else k

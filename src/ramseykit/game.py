@@ -12,10 +12,15 @@ prefix of label(v), colored by the digit of label(v) at position
 
 The builder hunts a red K4-minus (four vertices carrying the five red
 edges v1v2, v1v3, v1v4, v2v3, v2v4 in exposure order) against a blue
-clique on t-1 vertices.  Win detection runs after every single colored
-edge and the insertion halts mid-walk on a win, so the resource counts
-(vertices used, red edges, total edges) include the winning edge and
-nothing after it.
+clique on t-1 vertices.  One incremental rule per colour decides a win
+after every single colored edge, in play and in the exhaustive
+verifiers alike, and the insertion halts mid-walk on a win, so the
+resource counts (vertices used, red edges, total edges) include the
+winning edge and nothing after it.  The witness is read off the
+walker's label by the same rule: for red, the vertices frozen at the
+prefixes before its first R, before the winning R at q and through q,
+plus the walker; for blue, the vertices frozen at the prefixes before
+its first t-2 B digits, plus the walker.
 
 Vertices are numbered from 0 in exposure order everywhere, including
 transcripts and witnesses.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .rng import SplitMix64, check_seed
 
@@ -98,107 +103,25 @@ class GameStats:
 PainterStrategy = Callable[[GameState, int, int], str]
 
 
-def edge_color(label_a: str, label_b: str) -> Optional[str]:
-    """Color of the exposed edge between two labels, or None if unexposed."""
-    if len(label_a) > len(label_b):
-        label_a, label_b = label_b, label_a
-    if len(label_a) < len(label_b) and label_b.startswith(label_a):
-        return label_b[len(label_a)]
-    return None
-
-
 # ---------------------------------------------------------------------------
-# win detectors
+# the win rule
 
 
-def detect_red_k4_minus(state: GameState) -> Optional[tuple[int, int, int, int]]:
-    """Find four vertices in exposure order red on all pairs but the last.
-
-    Trie form: a vertex u2 whose own label contains an R digit (giving an
-    ancestor u1) and whose R-subtree holds at least two later vertices.
-    Every candidate is re-verified against the edge colors before being
-    returned, so the answer agrees with a brute-force scan.
-    """
-    labels = state.labels
-    for i2, lab2 in enumerate(labels):
-        p = lab2.find(RED)
-        if p < 0:
-            continue
-        pref = lab2 + RED
-        members = [j for j, l in enumerate(labels) if j != i2 and l.startswith(pref)]
-        if len(members) < 2:
-            continue
-        anc = lab2[:p]
-        for i1, l1 in enumerate(labels):
-            if l1 == anc and i1 != i2:
-                cand = tuple(sorted((i1, i2, members[0], members[1])))
-                if _red_witness_ok(labels, cand):
-                    return cand
-    return None
-
-
-def _red_witness_ok(labels, quad) -> bool:
-    v1, v2, v3, v4 = quad
-    need = [(v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4)]
-    return all(edge_color(labels[x], labels[y]) == RED for x, y in need)
-
-
-def detect_blue_clique(state: GameState, q: int) -> Optional[tuple[int, ...]]:
-    """Find q vertices pairwise joined by exposed blue edges.
-
-    Trie form: blue cliques are exactly prefix chains descending through
-    B digits, so a vertex whose label carries at least q-1 B digits yields
-    the clique of its B-ancestors plus itself.
-    """
-    if q < 1:
-        raise ValueError(f"clique size must be positive, got {q}")
-    labels = state.labels
-    if q == 1:
-        return (0,) if labels else None
-    for i, lab in enumerate(labels):
-        positions = [p for p, d in enumerate(lab) if d == BLUE]
-        if len(positions) < q - 1:
-            continue
-        chain = []
-        ok = True
-        for p in positions[: q - 1]:
-            anc = lab[:p]
-            j = next((k for k, l in enumerate(labels) if l == anc and k != i), None)
-            if j is None:
-                ok = False
-                break
-            chain.append(j)
-        if not ok:
-            continue
-        cand = tuple(sorted(chain + [i]))
-        if len(set(cand)) == q and _blue_witness_ok(labels, cand):
-            return cand
-    return None
-
-
-def _blue_witness_ok(labels, vs) -> bool:
-    from itertools import combinations
-
-    return all(edge_color(labels[x], labels[y]) == BLUE for x, y in combinations(vs, 2))
-
-
-def _wins_red(new_label: str, frozen: Iterable[str]) -> bool:
-    """Incremental red check after an R digit was appended.
+def _wins_red(label: str, frozen: Container[str]) -> int:
+    """Incremental red check after an R digit was appended; returns q or -1.
 
     The walker completes a red K4-minus iff some R digit of its label at
     a non-first R position q has the prefix of length q+1 frozen: that
     frozen vertex is the second member of the R-subtree of the ancestor
-    at q, whose own label already contains an R.  Equivalent to the full
-    detectors whenever detection has run after every earlier edge.
+    at q, whose own label already contains an R.  Exact whenever the
+    check has run after every earlier edge.
     """
-    first = new_label.find(RED)
-    q = new_label.find(RED, first + 1)
-    frozen_set = frozen if isinstance(frozen, (set, frozenset)) else set(frozen)
+    q = label.find(RED, label.find(RED) + 1)
     while q >= 0:
-        if new_label[: q + 1] in frozen_set:
-            return True
-        q = new_label.find(RED, q + 1)
-    return False
+        if label[: q + 1] in frozen:
+            return q
+        q = label.find(RED, q + 1)
+    return -1
 
 
 def _wins_blue(new_label: str, t: int) -> bool:
@@ -214,17 +137,19 @@ def insert_vertex(state: GameState, painter: PainterStrategy) -> list[dict]:
 
     The new vertex walks the trie from the empty label: each time its
     current label is frozen on an earlier vertex, that edge is exposed
-    and painted, and the color digit extends the label.  Detection runs
-    after every edge; a win freezes the partial label immediately.
+    and painted, and the color digit extends the label.  The win rule runs
+    after every edge; a win sets the witness and freezes the partial
+    label immediately.
     """
     if not state.running:
         raise ValueError(f"cannot insert into a finished game ({state.status})")
     v = len(state.labels)
     state.labels.append("")
+    by_label = state._by_label
     label = ""
     events: list[dict] = []
-    while label in state._by_label:
-        u = state._by_label[label]
+    while label in by_label:
+        u = by_label[label]
         color = painter(state, u, v)
         if color not in (RED, BLUE):
             raise ValueError(f"painter returned {color!r}, need 'R' or 'B'")
@@ -232,21 +157,21 @@ def insert_vertex(state: GameState, painter: PainterStrategy) -> list[dict]:
         state.labels[v] = label
         state.edges.append((u, v, color))
         events.append({"event": "edge", "u": u, "v": v, "color": color})
-        if color == RED and _wins_red(label, state._by_label.keys()):
+        q = _wins_red(label, by_label) if color == RED else -1
+        if q >= 0:
             state.status = "RedK4Minus"
-            state.witness = detect_red_k4_minus(state)
-            if state.witness is None:
-                raise AssertionError("incremental red win without a witness")
+            p = label.find(RED)
+            state.witness = (by_label[label[:p]], by_label[label[:q]],
+                             by_label[label[: q + 1]], v)
             break
         if color == BLUE and _wins_blue(label, state.t):
             state.status = "BlueClique"
-            state.witness = detect_blue_clique(state, state.t - 1)
-            if state.witness is None:
-                raise AssertionError("incremental blue win without a witness")
+            blues = [i for i, d in enumerate(label) if d == BLUE][: state.t - 2]
+            state.witness = tuple(by_label[label[:i]] for i in blues) + (v,)
             break
     state.labels[v] = label
-    if label not in state._by_label:
-        state._by_label[label] = v
+    if label not in by_label:
+        by_label[label] = v
     events.append({"event": "vertex", "v": v, "label": label})
     if not state.running:
         events.append({"event": "win", "outcome": state.status})
@@ -488,7 +413,7 @@ def _verify_raw(t: int, cap_vertices: int, cap_edges: int):
         for c in (RED, BLUE):
             new = label + c
             a2 = a + (1 if c == RED else 0)
-            won = _wins_red(new, frozen) if c == RED else _wins_blue(new, t)
+            won = _wins_red(new, frozen) >= 0 if c == RED else _wins_blue(new, t)
             choice_path.append(c)
             if won:
                 leaf(ell, a2, m + 1)
@@ -552,7 +477,7 @@ def _verify_memo(t: int, cap_vertices: int):
         for c in (RED, BLUE):
             new = label + c
             da2 = da + (1 if c == RED else 0)
-            won = _wins_red(new, frozen) if c == RED else _wins_blue(new, t)
+            won = _wins_red(new, frozen) >= 0 if c == RED else _wins_blue(new, t)
             if won:
                 piece = (1, dl, da2, dm + 1,
                          da2 - 3 * dl, (dm + 1) - (t + 1) * dl)

@@ -189,16 +189,7 @@ def contains_tight_cycle(H: Hypergraph, s: int) -> bool:
     False is proved by the period certificate when no component period of
     ``H.periods()`` divides s, and otherwise by the exhaustive search.
     """
-    k = H.k
-    if s < k:
-        raise ValueError(f"cycle length {s} is below the uniformity {k}")
-    if s > H.n:
-        return False
-    if s == k:
-        return bool(H.edges)
-    if not _period_allows(H, s):
-        return False
-    return s in _scan_cycles(H, {s})
+    return find_tight_cycle(H, s) is not None
 
 
 def cycle_spectrum(H: Hypergraph, s_max: int) -> set[int]:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ramseykit.game import BLUE, RED, edge_color
+from ramseykit.game import BLUE, RED
 from ramseykit.hypergraph import Hypergraph
 from ramseykit.rng import SplitMix64
 
@@ -152,9 +152,22 @@ def brute_matching_size(P) -> int:
     return sum(1 for x in range(P.p) if augment(x, set()))
 
 
+def edge_color(label_a: str, label_b: str):
+    """Color of the exposed edge between two game labels, or None if unexposed.
+
+    The edge is exposed iff one label is a proper prefix of the other, and
+    it carries the longer label's digit at the shorter label's length.
+    """
+    if len(label_a) > len(label_b):
+        label_a, label_b = label_b, label_a
+    if len(label_a) < len(label_b) and label_b.startswith(label_a):
+        return label_b[len(label_a)]
+    return None
+
+
 def detect_red_k4_minus_brute(state):
     """Scan all 4-tuples for five red edges v1v2, v1v3, v1v4, v2v3, v2v4;
-    the oracle for the game's trie detector."""
+    the oracle for the game's incremental red win rule."""
     labels = state.labels
     for v1, v2, v3, v4 in itertools.combinations(range(len(labels)), 4):
         need = [(v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4)]
@@ -165,7 +178,7 @@ def detect_red_k4_minus_brute(state):
 
 def detect_blue_clique_brute(state, q: int):
     """Scan all q-subsets for a clique of exposed blue edges; the oracle
-    for the game's chain detector."""
+    for the game's incremental blue win rule at q = t-1."""
     labels = state.labels
     if q < 1:
         raise ValueError(f"clique size must be positive, got {q}")

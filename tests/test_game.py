@@ -1,10 +1,11 @@
+import hashlib
 import io
 import json
 import math
 
 import pytest
 
-from oracles import detect_blue_clique_brute, detect_red_k4_minus_brute
+from oracles import detect_blue_clique_brute, detect_red_k4_minus_brute, edge_color
 from ramseykit.game import (
     GameAborted,
     GameState,
@@ -12,9 +13,6 @@ from ramseykit.game import (
     VerificationError,
     all_blue,
     all_red,
-    detect_blue_clique,
-    detect_red_k4_minus,
-    edge_color,
     exhaustive_verify,
     game_stats,
     greedy_saver,
@@ -92,45 +90,70 @@ def test_aggregate_resource_bounds_random():
 
 
 # ---------------------------------------------------------------------------
-# win detectors against brute force
+# the win rule against brute force
 
 
-def _finished_states(count, t, base):
-    out = []
-    for i in range(count):
-        state = GameState(t=t)
-        painter = random_painter(derive_seed(base, i))
+def _final_state(t, painter):
+    state = GameState(t=t)
+    while state.running:
+        insert_vertex(state, painter)
+    return state
+
+
+def test_win_rule_matches_brute_force():
+    for i in range(60):
+        state = GameState(t=6)
+        painter = random_painter(derive_seed(4, i), p_red=(0.2, 0.5, 0.8)[i % 3])
         while state.running:
             insert_vertex(state, painter)
-            out.append(state)
-    return out
-
-
-def test_detectors_match_brute_force():
-    states = _finished_states(40, 6, base=4)
-    for state in states:
-        trie = detect_red_k4_minus(state)
-        brute = detect_red_k4_minus_brute(state)
-        assert (trie is None) == (brute is None)
-        for q in (2, 3, 4, 5):
-            trie_b = detect_blue_clique(state, q)
-            brute_b = detect_blue_clique_brute(state, q)
-            assert (trie_b is None) == (brute_b is None), (q, state.labels)
+            if state.running:  # the incremental rule missed no win
+                assert detect_red_k4_minus_brute(state) is None, state.labels
+                assert detect_blue_clique_brute(state, 5) is None, state.labels
+        if state.status == "RedK4Minus":
+            assert detect_red_k4_minus_brute(state) is not None, state.labels
+        else:
+            assert detect_blue_clique_brute(state, 5) is not None, state.labels
 
 
 def test_red_witness_edges_are_red():
-    found = 0
+    found = {"RedK4Minus": 0, "BlueClique": 0}
     for i in range(60):
-        stats, _ = run_game(5, random_painter(derive_seed(5, i)))
-        if stats.outcome != "RedK4Minus":
-            continue
-        found += 1
-    assert found > 5  # red wins do occur under fair coins
+        state = _final_state(5, random_painter(derive_seed(5, i)))
+        found[state.status] += 1
+        labels, w = state.labels, state.witness
+        assert list(w) == sorted(set(w)), w
+        if state.status == "RedK4Minus":
+            v1, v2, v3, v4 = w
+            need = [(v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4)]
+            assert all(edge_color(labels[x], labels[y]) == "R" for x, y in need), w
+        else:
+            assert len(w) == state.t - 1
+            assert all(
+                edge_color(labels[x], labels[y]) == "B"
+                for j, x in enumerate(w)
+                for y in w[j + 1:]
+            ), w
+    assert found["RedK4Minus"] > 5  # red wins do occur under fair coins
+    assert found["BlueClique"] > 5
+
+
+def test_witnesses_match_frozen_digest():
+    # frozen SHA-256 of the witness lines: a change in which vertices a win
+    # reports fails here
+    lines = []
+    for t in range(3, 13):
+        painters = [random_painter(derive_seed(6, t, i)) for i in range(20)]
+        painters += [all_red(), all_blue(), greedy_saver()]
+        for painter in painters:
+            state = _final_state(t, painter)
+            lines.append(f"{t} {state.status} {' '.join(map(str, state.witness))}")
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "3a2846a01f7171e89482fd0289f8e3da1836ca14352a323ce654ba1aa5b9348c"
 
 
 def test_detect_blue_rejects_bad_q():
     with pytest.raises(ValueError):
-        detect_blue_clique(GameState(t=4), 0)
+        detect_blue_clique_brute(GameState(t=4), 0)
 
 
 # ---------------------------------------------------------------------------
