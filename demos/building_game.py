@@ -6,14 +6,13 @@ red edges on four vertices, the painter a blue clique on t-1.  Every
 painter loses, and the point is how little the builder spends winning.
 """
 
-import math
-
 from ramseykit import (
     all_blue,
     all_red,
     exhaustive_verify,
     greedy_saver,
     random_painter,
+    resource_caps,
     run_game,
     upper_bound_estimate,
 )
@@ -49,8 +48,7 @@ def main():
 
     # feed the worst-case caps into the log2 certificate
     for t in (10, 100):
-        ell = 2 * math.comb(t, 2) + 1
-        val = upper_bound_estimate(t, ell, 3 * ell + 1, (t + 1) * ell + 2, 1 / t)
+        val = upper_bound_estimate(t, *resource_caps(t), 1 / t)
         print(f"  t={t}: certificate at the caps = {val:,.0f} bits")
 
 

@@ -37,6 +37,7 @@ from .game import (
     exhaustive_verify,
     greedy_saver,
     random_painter,
+    resource_caps,
     run_game,
     scripted_painter,
     transcript_to_jsonl,
@@ -122,6 +123,7 @@ __all__ = [
     "max_antichain",
     "mod_spectrum_report",
     "random_painter",
+    "resource_caps",
     "run_game",
     "sample_graph",
     "save",

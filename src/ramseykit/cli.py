@@ -154,10 +154,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_game_verify(args) -> int:
-    if args.t == 5 and not args.enable_t5:
-        raise _usage_error("t=5 explores ~1.2e8 branches, pass --enable-t5 to confirm")
     try:
-        report = game.exhaustive_verify(args.t, allow_t5=args.enable_t5)
+        report = game.exhaustive_verify(args.t, allow_t5=True)
     except game.VerificationError as err:
         cx = args.counterexample_out or "game-verify-counterexample.jsonl"
         _write_text(cx, game.transcript_to_jsonl(err.transcript))
@@ -217,12 +215,10 @@ def _cmd_poset(args) -> int:
 
 def _cmd_bound(args) -> int:
     t = args.t
-    vertex_cap = 2 * math.comb(t, 2) + 1
+    vertex_cap, red_cap, edge_cap = game.resource_caps(t)
     vertices = args.vertices if args.vertices is not None else vertex_cap
-    red = args.red_edges if args.red_edges is not None else 3 * vertex_cap + 1
-    total = (
-        args.total_edges if args.total_edges is not None else (t + 1) * vertex_cap + 2
-    )
+    red = args.red_edges if args.red_edges is not None else red_cap
+    total = args.total_edges if args.total_edges is not None else edge_cap
     alpha = args.alpha if args.alpha is not None else 1.0 / t
     value = game.upper_bound_estimate(t, vertices, red, total, alpha)
     lines = [
@@ -301,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game-verify", help="exhaust every painter reply tree")
     p.add_argument("--t", type=int, required=True, choices=[3, 4, 5])
-    p.add_argument("--enable-t5", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--counterexample-out", default=None)
     p.set_defaults(func=_cmd_game_verify)

@@ -14,13 +14,18 @@ The builder hunts a red K4-minus (four vertices carrying the five red
 edges v1v2, v1v3, v1v4, v2v3, v2v4 in exposure order) against a blue
 clique on t-1 vertices.  One incremental rule per colour decides a win
 after every single colored edge, in play and in the exhaustive
-verifiers alike, and the insertion halts mid-walk on a win, so the
+verifier alike, and the insertion halts mid-walk on a win, so the
 resource counts (vertices used, red edges, total edges) include the
 winning edge and nothing after it.  The witness is read off the
 walker's label by the same rule: for red, the vertices frozen at the
 prefixes before its first R, before the winning R at q and through q,
 plus the walker; for blue, the vertices frozen at the prefixes before
 its first t-2 B digits, plus the walker.
+
+The exhaustive verifier is one depth-first search over the painter's
+choices that reports a broken resource cap with that branch's
+transcript; its memo is a cache keyed on the frozen label set, sound
+because every count so far is a function of that set.
 
 Vertices are numbered from 0 in exposure order everywhere, including
 transcripts and witnesses.
@@ -29,6 +34,7 @@ transcripts and witnesses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Optional
 
@@ -69,7 +75,7 @@ class SafetyCapReached(Exception):
 class VerificationError(Exception):
     """Exhaustive search found a branch violating the claimed bounds."""
 
-    def __init__(self, message, transcript=None):
+    def __init__(self, message, transcript):
         super().__init__(message)
         self.transcript = transcript
 
@@ -198,6 +204,8 @@ def run_game(
     """
     if t < 3:
         raise ValueError(f"target t must be at least 3, got {t}")
+    if safety_cap < 1:
+        raise ValueError(f"safety cap must be at least 1, got {safety_cap}")
     state = GameState(t=t)
     transcript: list[dict] = []
     step = 0
@@ -302,6 +310,10 @@ def interactive(input_stream=None, output_stream=None) -> PainterStrategy:
 # exhaustive verification
 
 
+RED_SLACK = 1  # red edges <= 3 * vertices + RED_SLACK
+EDGE_SLACK = 2  # total edges <= (t + 1) * vertices + EDGE_SLACK
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Worst cases over every painter behavior, plus the bound checks."""
@@ -316,187 +328,122 @@ class VerificationReport:
     edge_slack: int  # asserted: total_edges <= (t+1)*vertices + edge_slack
 
 
+def resource_caps(t: int) -> tuple[int, int, int]:
+    """The game's resource caps: (vertices, red edges, total edges).
+
+    At most 2*C(t,2)+1 vertices, red <= 3*vertices+RED_SLACK and edges <=
+    (t+1)*vertices+EDGE_SLACK, the last two taken at the vertex cap.
+    These feed the union bound; `exhaustive_verify` certifies them.
+    """
+    vertices = 2 * math.comb(t, 2) + 1
+    return vertices, 3 * vertices + RED_SLACK, (t + 1) * vertices + EDGE_SLACK
+
+
 def exhaustive_verify(
     t: int,
     caps: Optional[tuple[int, int]] = None,
     allow_t5: bool = False,
-    memoize: Optional[bool] = None,
+    memoize: bool = True,
 ) -> VerificationReport:
     """Search every painter behavior and certify the builder always wins.
 
-    Depth-first over the painter's binary choice at each exposed edge,
-    with the builder playing its fixed walk strategy.  Asserts, on every
-    branch, vertices <= 2*C(t,2)+1, red <= 3*vertices+1 and edges <=
-    (t+1)*vertices+2, raising VerificationError with a counterexample
-    transcript otherwise.  t=3 and t=4 run the raw tree; t=5 needs
-    allow_t5 and memoizes on the frozen label set (deltas compose since
-    play depends only on that set).
+    One depth-first search over the painter's binary choice at each
+    exposed edge, with the builder playing its fixed walk strategy and
+    the choice path kept.  Every leaf is a win.  On the branch where it
+    breaks, the search raises VerificationError with that branch's
+    transcript if a game is still running at caps = (vertices, edges),
+    by default the vertex cap of `resource_caps` and its edge cap, or if
+    a won game used more than 2*C(t,2)+1 vertices, more than
+    3*vertices+RED_SLACK red edges or more than (t+1)*vertices+EDGE_SLACK
+    edges.
+
+    memoize caches each subtree's worst case under its frozen label set
+    between insertions.  Play onward depends only on that set, and so do
+    the counts so far: running labels are distinct, so the vertices are
+    the set's size, the edges the sum of the label lengths and the red
+    edges the number of R digits.  An entry therefore holds absolute
+    worst cases and a subtree cached without a violation has none on a
+    second visit, so both settings give the same report or the same
+    error.  t=5 needs allow_t5.
     """
-    if t in (3, 4):
-        use_memo = bool(memoize)
-    elif t == 5:
-        if not allow_t5:
-            raise ValueError("t=5 search is heavy; pass allow_t5=True to run it")
-        use_memo = True if memoize is None else memoize
-    else:
+    if t not in (3, 4, 5):
         raise ValueError(f"exhaustive verification supports t in {{3,4,5}}, got {t}")
+    if t == 5 and not allow_t5:
+        raise ValueError("t=5 search is heavy; pass allow_t5=True to run it")
 
-    vertex_bound = 2 * (t * (t - 1) // 2) + 1
-    red_slack, edge_slack = 1, 2
-    if caps is None:
-        caps = (vertex_bound, (t + 1) * vertex_bound + edge_slack)
-    cap_vertices, cap_edges = caps
-
-    if use_memo:
-        branches, dl, da, dm, rel_a, rel_m = _verify_memo(t, cap_vertices)
-    else:
-        branches, dl, da, dm, rel_a, rel_m = _verify_raw(t, cap_vertices, cap_edges)
-
-    if dl > vertex_bound:
-        raise VerificationError(
-            f"t={t}: a branch used {dl} vertices, above the bound {vertex_bound}"
-        )
-    if rel_a > red_slack:
-        raise VerificationError(
-            f"t={t}: a branch broke red <= 3*vertices+{red_slack} by {rel_a - red_slack}"
-        )
-    if rel_m > edge_slack:
-        raise VerificationError(
-            f"t={t}: a branch broke edges <= (t+1)*vertices+{edge_slack} by {rel_m - edge_slack}"
-        )
-    return VerificationReport(
-        t=t,
-        branches=branches,
-        max_vertices=dl,
-        max_red=da,
-        max_edges=dm,
-        vertex_bound=vertex_bound,
-        red_slack=red_slack,
-        edge_slack=edge_slack,
-    )
-
-
-def _verify_raw(t: int, cap_vertices: int, cap_edges: int):
-    """Plain DFS; every leaf is a win or the caps raise a counterexample."""
-    branches = 0
-    max_l = max_a = max_m = 0
-    rel_a = rel_m = -(10**9)
+    vertex_bound, _, edge_cap = resource_caps(t)
+    cap_vertices, cap_edges = (vertex_bound, edge_cap) if caps is None else caps
+    cache: Optional[dict[frozenset, tuple]] = {} if memoize else None
     frozen: set[str] = set()
-    choice_path: list[str] = []
+    path: list[str] = []
 
-    def leaf(ell, a, m):
-        nonlocal branches, max_l, max_a, max_m, rel_a, rel_m
-        branches += 1
-        max_l = max(max_l, ell)
-        max_a = max(max_a, a)
-        max_m = max(max_m, m)
-        rel_a = max(rel_a, a - 3 * ell)
-        rel_m = max(rel_m, m - (t + 1) * ell)
+    def fail(message: str):
+        try:  # replay the choice path as a real transcript
+            _, transcript = run_game(t, scripted_painter(path), safety_cap=10**6)
+        except GameAborted as ga:  # the path stops mid-game
+            transcript = ga.transcript
+        raise VerificationError(f"t={t}: {message}", transcript)
 
-    def walk(label, ell, a, m):
-        # walker is mid-walk at `label`; ell counts it already
+    def walk(label: str, ell: int, red: int, edges: int) -> tuple:
+        """(leaves, vertices, red, edges) worst case below this position.
+
+        The walker is mid-walk at `label`; ell counts it already.
+        """
         if label not in frozen:
             frozen.add(label)
             if ell >= cap_vertices:
-                raise VerificationError(
-                    f"t={t}: still running after {ell} vertices",
-                    transcript=_replay_choices(t, choice_path),
-                )
-            walk("", ell + 1, a, m)
+                fail(f"still running after {ell} vertices")
+            if cache is None:
+                worst = walk("", ell + 1, red, edges)
+            else:
+                key = frozenset(frozen)
+                worst = cache.get(key)
+                if worst is None:
+                    worst = cache[key] = walk("", ell + 1, red, edges)
             frozen.remove(label)
-            return
-        if m >= cap_edges:
-            raise VerificationError(
-                f"t={t}: still running after {m} edges",
-                transcript=_replay_choices(t, choice_path),
-            )
+            return worst
+        if edges >= cap_edges:
+            fail(f"still running after {edges} edges")
+        leaves = max_vertices = max_red = max_edges = 0
         for c in (RED, BLUE):
             new = label + c
-            a2 = a + (1 if c == RED else 0)
-            won = _wins_red(new, frozen) >= 0 if c == RED else _wins_blue(new, t)
-            choice_path.append(c)
-            if won:
-                leaf(ell, a2, m + 1)
-            else:
-                walk(new, ell, a2, m + 1)
-            choice_path.pop()
-
-    walk("", 1, 0, 0)
-    return branches, max_l, max_a, max_m, rel_a, rel_m
-
-
-def _replay_choices(t: int, choices: list[str]) -> list[dict]:
-    """Turn a DFS choice path into a real transcript for error reports."""
-    try:
-        _, transcript = run_game(t, scripted_painter(choices), safety_cap=10**6)
-    except GameAborted as ga:
-        transcript = ga.transcript
-    except SafetyCapReached as sc:
-        transcript = sc.transcript
-    return transcript
-
-
-def _verify_memo(t: int, cap_vertices: int):
-    """Memoized DFS on frozen label sets.
-
-    Play from a frozen set onward never depends on how it was reached, so
-    per-subtree deltas of (vertices, red, edges) and of the two slack
-    functionals red-3*vertices and edges-(t+1)*vertices compose by
-    shifting; branch counts add.
-    """
-    memo: dict[frozenset, tuple] = {}
-    depth = [0]
-
-    def between(frozen: set[str]):
-        key = frozenset(frozen)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        depth[0] += 1
-        if depth[0] > cap_vertices:
-            raise VerificationError(f"t={t}: recursion beyond {cap_vertices} vertices")
-        result = walk(frozen, "", 1, 0, 0)
-        depth[0] -= 1
-        memo[key] = result
-        return result
-
-    def walk(frozen: set[str], label: str, dl: int, da: int, dm: int):
-        if label not in frozen:
-            frozen.add(label)
-            sub = between(frozen)
-            frozen.remove(label)
-            return (
-                sub[0],
-                dl + sub[1],
-                da + sub[2],
-                dm + sub[3],
-                (da - 3 * dl) + sub[4],
-                (dm - (t + 1) * dl) + sub[5],
-            )
-        out = None
-        for c in (RED, BLUE):
-            new = label + c
-            da2 = da + (1 if c == RED else 0)
+            red2 = red + (c == RED)
+            path.append(c)
             won = _wins_red(new, frozen) >= 0 if c == RED else _wins_blue(new, t)
             if won:
-                piece = (1, dl, da2, dm + 1,
-                         da2 - 3 * dl, (dm + 1) - (t + 1) * dl)
+                if ell > vertex_bound:
+                    fail(f"a branch used {ell} vertices, "
+                         f"above the bound {vertex_bound}")
+                if red2 - 3 * ell > RED_SLACK:
+                    fail(f"a branch broke red <= 3*vertices+{RED_SLACK} "
+                         f"by {red2 - 3 * ell - RED_SLACK}")
+                if edges + 1 - (t + 1) * ell > EDGE_SLACK:
+                    fail(f"a branch broke edges <= (t+1)*vertices+{EDGE_SLACK} "
+                         f"by {edges + 1 - (t + 1) * ell - EDGE_SLACK}")
+                sub = (1, ell, red2, edges + 1)
             else:
-                piece = walk(frozen, new, dl, da2, dm + 1)
-            if out is None:
-                out = piece
-            else:
-                out = (
-                    out[0] + piece[0],
-                    max(out[1], piece[1]),
-                    max(out[2], piece[2]),
-                    max(out[3], piece[3]),
-                    max(out[4], piece[4]),
-                    max(out[5], piece[5]),
-                )
-        return out
+                sub = walk(new, ell, red2, edges + 1)
+            path.pop()
+            leaves += sub[0]
+            if sub[1] > max_vertices:
+                max_vertices = sub[1]
+            if sub[2] > max_red:
+                max_red = sub[2]
+            if sub[3] > max_edges:
+                max_edges = sub[3]
+        return leaves, max_vertices, max_red, max_edges
 
-    return between(set())
+    branches, max_vertices, max_red, max_edges = walk("", 1, 0, 0)
+    return VerificationReport(
+        t=t,
+        branches=branches,
+        max_vertices=max_vertices,
+        max_red=max_red,
+        max_edges=max_edges,
+        vertex_bound=vertex_bound,
+        red_slack=RED_SLACK,
+        edge_slack=EDGE_SLACK,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +458,6 @@ def upper_bound_estimate(
     log2(vertices) + red*log2(1/alpha) + (total-red)*log2(1/(1-alpha)),
     evaluated in log space.  alpha must lie in (0, 1/2].
     """
-    import math
-
     if t < 3:
         raise ValueError(f"target t must be at least 3, got {t}")
     if not 0.0 < alpha <= 0.5:

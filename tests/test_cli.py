@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ramseykit import game
 from ramseykit.cli import main
 from ramseykit.construction import (
     alpha_experiment,
@@ -175,11 +176,37 @@ def test_game_verify_t3_line(capsys):
     assert "verified" in captured.err
 
 
-def test_game_verify_t5_needs_flag(capsys):
-    with pytest.raises(SystemExit) as info:
-        run_cli("game-verify", "--t", "5")
-    assert info.value.code == 2
-    assert "--enable-t5" in capsys.readouterr().err
+def test_game_verify_t5_line(capsys):
+    assert run_cli("game-verify", "--t", "5") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "t,branches,max_vertices,max_red,max_edges",
+        "5,120789411,16,20,41",
+    ]
+
+
+def test_game_verify_failure_writes_replayable_transcript(
+    tmp_path, monkeypatch, capsys
+):
+    # caps of 5 vertices and 20 edges: some painter outlasts them at t=4
+    monkeypatch.setattr(game, "resource_caps", lambda t: (5, 16, 20))
+    path = tmp_path / "cx.jsonl"
+    assert run_cli("game-verify", "--t", "4", "--counterexample-out", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FAIL: t=4: still running after")
+    assert "Traceback" not in captured.err
+    records = [json.loads(ln) for ln in path.read_text().splitlines()]
+    colors = [rec["color"] for rec in records if rec["event"] == "edge"]
+    with pytest.raises(game.GameAborted) as info:
+        game.run_game(4, game.scripted_painter(colors))
+    assert info.value.transcript == records
+
+
+def test_game_safety_cap_zero_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("game", "--t", "4", "--painter", "all-red", "--safety-cap", "0") == 2
+    assert "safety cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from oracles import detect_blue_clique_brute, detect_red_k4_minus_brute, edge_color
+from ramseykit import game
 from ramseykit.game import (
     GameAborted,
     GameState,
@@ -211,6 +212,12 @@ def test_safety_cap_detected():
         run_game(12, all_blue(), safety_cap=3)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_safety_cap_below_one_is_bad_input(cap):
+    with pytest.raises(ValueError, match="safety cap"):
+        run_game(4, all_red(), safety_cap=cap)
+
+
 def test_interactive_painter_roundtrip():
     answers = io.StringIO("x\nB\nR\nB\nB\n")
     prompts = io.StringIO()
@@ -268,16 +275,16 @@ def test_exhaustive_t3_exact():
 
 
 def test_exhaustive_t4_exact_and_memo_agrees():
-    raw = exhaustive_verify(4)
-    memo = exhaustive_verify(4, memoize=True)
+    raw = exhaustive_verify(4, memoize=False)
+    memo = exhaustive_verify(4)
     assert raw.branches == memo.branches == 1542
     assert (raw.max_vertices, raw.max_red, raw.max_edges) == (9, 11, 17)
     assert (memo.max_vertices, memo.max_red, memo.max_edges) == (9, 11, 17)
 
 
 def test_exhaustive_t3_memo_agrees():
-    raw = exhaustive_verify(3)
-    memo = exhaustive_verify(3, memoize=True)
+    raw = exhaustive_verify(3, memoize=False)
+    memo = exhaustive_verify(3)
     assert (raw.branches, raw.max_vertices, raw.max_red, raw.max_edges) == (
         memo.branches,
         memo.max_vertices,
@@ -290,6 +297,57 @@ def test_exhaustive_tiny_caps_fail_with_transcript():
     with pytest.raises(VerificationError) as info:
         exhaustive_verify(4, caps=(3, 100))
     assert info.value.transcript
+
+
+def _verify_outcome(t, memoize, caps):
+    """The report's counts, or the error's message and transcript."""
+    try:
+        r = exhaustive_verify(t, caps=caps, memoize=memoize)
+    except VerificationError as err:
+        assert err.transcript, str(err)
+        return [str(err), err.transcript]
+    return ["ok", [r.branches, r.max_vertices, r.max_red, r.max_edges]]
+
+
+# SHA-256 of the uncached outcomes over the grid below, as the plain search
+# computed them before the memo became a cache on it
+CAPS_GRID_DIGEST = "ddee818b10d67e27f5d716a6f2daa3b44968486f568fbe2c3c13076b8fe6590a"
+
+
+def test_exhaustive_caps_grid_same_with_and_without_cache():
+    # (100, 5) once passed cached while the plain search stopped on the edge cap
+    grid = [
+        (t, (v, e))
+        for t in (3, 4)
+        for v in (0, 1, 2, 3, 4, 5, 8, 9, 10, 100)
+        for e in (0, 1, 2, 5, 16, 17, 100)
+    ]
+    out = []
+    for t, caps in grid:
+        raw = _verify_outcome(t, False, caps)
+        assert _verify_outcome(t, True, caps) == raw, (t, caps)
+        out.append([t, *caps, *raw])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == CAPS_GRID_DIGEST
+
+
+# at t=4 the worst cases are 9 vertices, red-3*vertices = -7 and
+# edges-5*vertices = -12; each patch makes one bound one short
+@pytest.mark.parametrize("patch, message", [
+    (("resource_caps", lambda t: (8, 25, 42)), "used 9 vertices, above the bound 8"),
+    (("RED_SLACK", -8), "broke red <= 3*vertices+-8 by 1"),
+    (("EDGE_SLACK", -13), "broke edges <= (t+1)*vertices+-13 by 1"),
+])
+def test_exhaustive_bound_breaks_on_the_branch(monkeypatch, patch, message):
+    monkeypatch.setattr(game, *patch)
+    raw = _verify_outcome(4, False, (100, 1000))
+    assert _verify_outcome(4, True, (100, 1000)) == raw
+    text, transcript = raw
+    assert message in text
+    # the transcript is a finished game that replays from its colours
+    assert transcript[-1]["event"] == "win"
+    colors = [rec["color"] for rec in transcript if rec["event"] == "edge"]
+    assert run_game(4, scripted_painter(colors))[1] == transcript
 
 
 def test_exhaustive_t5_is_gated():
