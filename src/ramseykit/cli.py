@@ -141,7 +141,7 @@ def _cmd_game(args) -> int:
         cx = args.transcript or "game-counterexample.jsonl"
         _write_text(cx, game.transcript_to_jsonl(cap.transcript))
         sys.stderr.write(
-            f"FAIL: no win within {args.safety_cap} steps; transcript in {cx}\n"
+            f"FAIL: no win within {args.safety_cap} vertices; transcript in {cx}\n"
         )
         return 1
     if args.transcript:

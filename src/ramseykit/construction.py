@@ -195,55 +195,50 @@ def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
     pool = list(itertools.combinations(range(t), 3))
     rng.shuffle(pool)
 
-    def pairs(tr):
-        return ((tr[0], tr[1]), (tr[0], tr[2]), (tr[1], tr[2]))
-
     by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, tr in enumerate(pool):
-        for p in pairs(tr):
+    for i, (a, b, c) in enumerate(pool):
+        for p in ((a, b), (a, c), (b, c)):
             by_pair.setdefault(p, []).append(i)
 
-    # blocked[i] counts used pairs of pool[i]; a triple fits iff 0
-    blocked = [0] * len(pool)
-    chosen = [False] * len(pool)
+    # bit c of used[a] is set when the pair (a, c), a < c, is covered
+    used = [0] * t
 
-    def mark(i: int, delta: int) -> None:
-        for p in pairs(pool[i]):
-            for j in by_pair[p]:
-                blocked[j] += delta
+    def fits(i: int) -> bool:
+        a, b, c = pool[i]
+        return not (used[a] >> b & 1 or used[a] >> c & 1 or used[b] >> c & 1)
+
+    def flip(i: int) -> None:
+        a, b, c = pool[i]
+        used[a] ^= 1 << b | 1 << c
+        used[b] ^= 1 << c
 
     order: list[int] = []
     for i in range(len(pool)):
-        if blocked[i] == 0:
-            chosen[i] = True
+        if fits(i):
             order.append(i)
-            mark(i, +1)
+            flip(i)
 
+    kept = set(order)
     for i in order:
-        chosen[i] = False
-        mark(i, -1)
-        # only triples sharing a pair with pool[i] can have come free
-        local = sorted({j for p in pairs(pool[i]) for j in by_pair[p] if j != i})
-        first = next((j for j in local if not chosen[j] and blocked[j] == 0), None)
-        swapped = False
+        flip(i)
+        # only triples sharing a pair with pool[i] can have come free; a
+        # chosen triple never fits, and pool[i] itself is listed three times
+        a, b, c = pool[i]
+        free = (j for j in sorted(by_pair[a, b] + by_pair[a, c] + by_pair[b, c])
+                if j != i and fits(j))
+        first = next(free, None)
         if first is not None:
-            chosen[first] = True
-            mark(first, +1)
-            second = next(
-                (j for j in local if not chosen[j] and blocked[j] == 0), None
-            )
+            flip(first)
+            second = next(free, None)
             if second is not None:
-                chosen[second] = True
-                mark(second, +1)
-                swapped = True
-            else:
-                chosen[first] = False
-                mark(first, -1)
-        if not swapped:
-            chosen[i] = True
-            mark(i, +1)
+                flip(second)
+                kept.remove(i)
+                kept.update((first, second))
+                continue
+            flip(first)
+        flip(i)
 
-    triples = sorted(pool[i] for i in range(len(pool)) if chosen[i])
+    triples = sorted(pool[i] for i in kept)
     return TriplePacking(t=t, triples=tuple(triples))
 
 

@@ -335,6 +335,8 @@ def resource_caps(t: int) -> tuple[int, int, int]:
     (t+1)*vertices+EDGE_SLACK, the last two taken at the vertex cap.
     These feed the union bound; `exhaustive_verify` certifies them.
     """
+    if t < 3:
+        raise ValueError(f"target t must be at least 3, got {t}")
     vertices = 2 * math.comb(t, 2) + 1
     return vertices, 3 * vertices + RED_SLACK, (t + 1) * vertices + EDGE_SLACK
 

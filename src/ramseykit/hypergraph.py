@@ -18,6 +18,13 @@ has a length divisible by that component's period (Denardo 1977).  A
 length that no component period divides is therefore absent.  Every
 other length is settled by the exhaustive tight-path search.
 
+The independence number comes from one bitmask branch and bound for
+every k: choosing the vertex v blocks the open w of each edge in which w
+is the largest vertex, v the second largest and the rest already chosen,
+and the blocked masks come from rows cached per chosen vertex.  Its
+bound is Östergård's Russian doll: the independence numbers of the
+vertex suffixes, solved from the last vertex back.
+
 The text format understood by :func:`from_text` / :func:`to_text`:
 optional ``#`` comment lines, then a ``k n`` header line, then one edge
 per line as k ascending space-separated 0-based vertex ids.  Writers emit
@@ -289,98 +296,88 @@ def independence_greedy(H: Hypergraph) -> tuple[int, ...]:
 
 
 def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
-    """Exact maximum independent set size via branch and bound.
+    """Exact maximum independent set size via a Russian-doll branch and bound.
 
-    Branches on vertices in order of decreasing degree; prunes with the
-    remaining-vertex bound chosen + |pool| <= best.  Instances above
-    ``cap`` vertices are refused since the search is worst-case
-    exponential.
+    The vertices are relabelled by decreasing degree and the search always
+    branches on the lowest open label, so every chosen vertex lies below
+    the branch vertex v and every open one above it.  Choosing v blocks an
+    open w iff some edge has w as its largest vertex, v as its second
+    largest, and all its other vertices chosen.  Each edge is filed under
+    its third-largest vertex a with the mask of its vertices below a; when
+    a is chosen it pushes a row, ``row[v]`` being the mask of the w of its
+    filed edges whose lower vertices are all chosen.  Those lower vertices
+    are decided before a and stay fixed while a is chosen, so the row is
+    cached on the chosen part of the mask of lower vertices a's edges name:
+    at k=3 that part is empty and each vertex has one fixed row.  At k=2 an
+    edge blocks its larger vertex once its smaller one is chosen, so the
+    edges form one base row that is always in force.
+
+    The bound is Östergård's (2002): c[i] is alpha of the labels i..n-1,
+    solved from n-1 down.  Suffix i only asks for a set containing i that
+    beats c[i+1], which is the most it can do since c[i] <= c[i+1] + 1, and
+    it stops at the first one.  A node with d chosen vertices and lowest
+    open label v is pruned when d + c[v] or d + |pool| is at most the best.
+    Instances above ``cap`` vertices are refused since the search is
+    worst-case exponential.
     """
-    if H.n > cap:
-        raise ValueError(f"instance too large: n={H.n} exceeds the cap {cap}")
-    if H.n == 0:
-        return 0
-    if H.k == 3:
-        return _alpha3_bitmask(H)
-    return _alpha_generic(H)
-
-
-def _degree_order(H: Hypergraph) -> list[int]:
-    deg = H.degrees()
-    return sorted(range(H.n), key=lambda v: (-deg[v], v))
-
-
-def _alpha3_bitmask(H: Hypergraph) -> int:
-    """3-graph branch and bound over bit-packed vertex sets (Python ints, any n)."""
     n = H.n
-    order = _degree_order(H)
-    rank = {v: i for i, v in enumerate(order)}
-    # link in relabeled coordinates: link[u][v] = mask of w blocking with pair (u, v)
-    link = [[0] * n for _ in range(n)]
+    if n > cap:
+        raise ValueError(f"instance too large: n={n} exceeds the cap {cap}")
+    deg = H.degrees()
+    rank = [0] * n
+    for i, v in enumerate(sorted(range(n), key=lambda v: (-deg[v], v))):
+        rank[v] = i
+    base = [0] * n
+    filed: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    mention = [0] * n
     for e in H.edges:
-        a, b, c = (rank[v] for v in e)
-        link[a][b] |= 1 << c
-        link[b][a] |= 1 << c
-        link[a][c] |= 1 << b
-        link[c][a] |= 1 << b
-        link[b][c] |= 1 << a
-        link[c][b] |= 1 << a
+        *lower, v, w = sorted(rank[u] for u in e)
+        if not lower:
+            base[v] |= 1 << w
+            continue
+        a = lower.pop()
+        below = sum(1 << u for u in lower)
+        filed[a].append((below, v, w))
+        mention[a] |= below
+    cache: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    rows = [base]
+    c = [0] * n
+    best = 0
 
-    best = len(independence_greedy(H))
-    chosen: list[int] = []
-
-    def rec(pool: int) -> None:
+    def grow(pool: int, chosen: int, depth: int) -> bool:
+        """Look for an independent set of size best+1; True once found."""
         nonlocal best
-        depth = len(chosen)
-        if depth + pool.bit_count() <= best:
-            return
-        if pool == 0:
+        if depth > best:
             best = depth
-            return
-        v = (pool & -pool).bit_length() - 1
-        rest = pool & ~(1 << v)
-        blocked = 0
-        row = link[v]
-        for u in chosen:
-            blocked |= row[u]
-        chosen.append(v)
-        rec(rest & ~blocked)
-        chosen.pop()
-        rec(rest)
+            return True
+        room = best - depth
+        while pool:
+            v = (pool & -pool).bit_length() - 1
+            if c[v] <= room or pool.bit_count() <= room:
+                return False
+            pool ^= 1 << v
+            blocked = 0
+            for row in rows:
+                blocked |= row[v]
+            chosen_v = chosen | 1 << v
+            key = chosen_v & mention[v]
+            row = cache[v].get(key)
+            if row is None:
+                row = cache[v][key] = [0] * n
+                for below, x, w in filed[v]:
+                    if below & key == below:
+                        row[x] |= 1 << w
+            rows.append(row)
+            found = grow(pool & ~blocked, chosen_v, depth + 1)
+            rows.pop()
+            if found:
+                return True
+        return False
 
-    rec((1 << n) - 1)
-    return best
-
-
-def _alpha_generic(H: Hypergraph) -> int:
-    """Branch and bound for arbitrary uniformity, set-based."""
-    order = _degree_order(H)
-    edges = [frozenset(e) for e in H.edges]
-    incident: dict[int, list[int]] = {v: [] for v in range(H.n)}
-    for i, e in enumerate(edges):
-        for v in e:
-            incident[v].append(i)
-    best = len(independence_greedy(H))
-    chosen: set[int] = set()
-
-    def blocked_now(v: int) -> bool:
-        return any(edges[i] <= chosen | {v} for i in incident[v])
-
-    def rec(pool: list[int]) -> None:
-        nonlocal best
-        if len(chosen) + len(pool) <= best:
-            return
-        if not pool:
-            best = len(chosen)
-            return
-        v, rest = pool[0], pool[1:]
-        if not blocked_now(v):
-            chosen.add(v)
-            rec([w for w in rest if not blocked_now(w)])
-            chosen.remove(v)
-        rec(rest)
-
-    rec(order)
+    for i in range(n - 1, -1, -1):
+        c[i] = best + 1  # the most suffix i can reach, so its root is searched
+        grow(-1 << i & ((1 << n) - 1), 0, 0)
+        c[i] = best
     return best
 
 

@@ -6,10 +6,10 @@ on instances small enough to enumerate outright.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-
-import numpy as np
+import operator
 
 from ramseykit.game import BLUE, RED
 from ramseykit.hypergraph import Hypergraph
@@ -66,16 +66,23 @@ def brute_periods(H: Hypergraph) -> frozenset[int]:
     nodes = sorted({p for e in H.edges for p in itertools.permutations(e, H.k - 1)})
     index = {t: i for i, t in enumerate(nodes)}
     size = len(nodes)
-    arcs = np.zeros((size, size))
+    # boolean matrices as bitmask columns: bit i of walks[j] says that
+    # some walk of the current length leads from node i to node j
+    into: list[list[int]] = [[] for _ in range(size)]
     for e in H.edges:
         for p in itertools.permutations(e):
-            arcs[index[p[:-1]], index[p[1:]]] = 1
-    walks = np.eye(size)
+            into[index[p[1:]]].append(index[p[:-1]])
+    walks = [1 << j for j in range(size)]
     gcds = [0] * size
     for length in range(1, 4 * size + 1):
-        walks = np.minimum(walks @ arcs, 1)
-        for v in np.flatnonzero(np.diagonal(walks)):
-            gcds[v] = math.gcd(gcds[v], length)
+        # walks = walks @ arcs, one column j at a time
+        walks = [
+            functools.reduce(operator.or_, (walks[m] for m in into[j]), 0)
+            for j in range(size)
+        ]
+        for v in range(size):
+            if walks[v] >> v & 1:
+                gcds[v] = math.gcd(gcds[v], length)
     return frozenset(g for g in gcds if g)
 
 

@@ -209,6 +209,17 @@ def test_game_safety_cap_zero_is_usage_error(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_game_safety_cap_message_counts_vertices(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ("game", "--t", "12", "--painter", "all-blue", "--safety-cap", "3")
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err == "FAIL: no win within 3 vertices; transcript in game-counterexample.jsonl\n"
+    # the cap counts vertices, not transcript events
+    events = (tmp_path / "game-counterexample.jsonl").read_text().splitlines()
+    assert len(events) > 3
+
+
 # ---------------------------------------------------------------------------
 # hom / poset / bound
 
@@ -278,6 +289,14 @@ def test_bound_explicit_arguments(capsys):
     assert run_cli("bound", "--t", "3", "--alpha", "0.5", "--vertices", "4",
                    "--red-edges", "5", "--total-edges", "5") == 0
     assert capsys.readouterr().out.splitlines()[1].endswith("7.000000")
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_bound_small_t_is_usage_error(capsys, t):
+    assert run_cli("bound", "--t", t) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ramseykit: target t must be at least 3, got {t}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -174,6 +175,27 @@ def test_steiner_packing_deterministic():
     a = greedy_steiner_packing(15, 3)
     b = greedy_steiner_packing(15, 3)
     assert a.triples == b.triples
+
+
+# SHA-256 of the "seed a b c" lines of the packings for seeds 0..9, frozen
+# from the earlier pair-counter implementation
+STEINER_DIGESTS = {
+    9: "5cc53cbdc6cd44ad8e214f7cc804258f97159b257db420edcde44d6f2b786958",
+    15: "b2d50c7a46a2d941436292cd7daf1d8569d0dd4178011b6911bf60a7cf8b2bfb",
+    21: "7274381a1377c75268c9a0bcf666c7782c37eca8bf6df4aafe4fdac479df1acc",
+    33: "9d009f64475c9717c30b0fb63b05c1b0e534fa5f1b33faddb69d860cde4dcd62",
+}
+
+
+@pytest.mark.parametrize("t", sorted(STEINER_DIGESTS))
+def test_steiner_packing_matches_frozen_digest(t):
+    lines = [
+        f"{seed} {a} {b} {c}"
+        for seed in range(10)
+        for a, b, c in greedy_steiner_packing(t, seed).triples
+    ]
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == STEINER_DIGESTS[t]
 
 
 def test_steiner_rejects_tiny():

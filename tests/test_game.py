@@ -218,6 +218,12 @@ def test_safety_cap_below_one_is_bad_input(cap):
         run_game(4, all_red(), safety_cap=cap)
 
 
+@pytest.mark.parametrize("t", [2, 0, -1])
+def test_resource_caps_below_three_is_bad_input(t):
+    with pytest.raises(ValueError, match="at least 3"):
+        game.resource_caps(t)
+
+
 def test_interactive_painter_roundtrip():
     answers = io.StringIO("x\nB\nR\nB\nB\n")
     prompts = io.StringIO()

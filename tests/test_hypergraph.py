@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -25,6 +26,7 @@ from ramseykit.hypergraph import (
     tight_cycle,
     to_text,
 )
+from ramseykit.rng import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +212,37 @@ def test_greedy_independent_set_is_valid():
 
 
 def test_exact_alpha_matches_brute():
+    for k in (2, 3, 4, 5):
+        for n in range(1, 11):
+            graphs = [Hypergraph(k, n), complete(k, n)]
+            graphs += [random_hypergraph(k, n, 100 * n + seed, eighths=1 + seed % 7)
+                       for seed in range(4)]
+            for H in graphs:
+                assert independence_number_exact(H) == brute_alpha(H), (k, n, H.edges)
     for seed in range(25):
         H = random_hypergraph(3, 8, seed, eighths=2 + seed % 5)
         assert independence_number_exact(H) == brute_alpha(H), seed
     for seed in range(6):
         H = random_hypergraph(4, 8, seed, eighths=4)
         assert independence_number_exact(H) == brute_alpha(H), seed
+
+
+# SHA-256 of "k n i alpha" lines for the lifts of sample_graph(k-1, n,
+# derive_seed(0, n, i)), frozen from the earlier k=3 link-row search and
+# set-based k>=4 search
+LIFT_ALPHA_CELLS = [(3, 32, 4), (3, 48, 3), (3, 64, 2), (4, 16, 4), (4, 20, 4), (4, 24, 4)]
+LIFT_ALPHA_DIGEST = "33161903e2180e32bdb8c826aa2f5f8a233129a847a6bd51937eca685d8a3eaf"
+
+
+def test_exact_alpha_on_lifts_matches_frozen_digest():
+    lines = []
+    for k, n, seeds in LIFT_ALPHA_CELLS:
+        for i in range(seeds):
+            G = sample_graph(k - 1, n, derive_seed(0, n, i))
+            H = build_h3(G) if k == 3 else build_hk(G, k)
+            lines.append(f"{k} {n} {i} {independence_number_exact(H)}")
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == LIFT_ALPHA_DIGEST
 
 
 def test_exact_alpha_size_cap():
