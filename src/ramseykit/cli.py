@@ -51,10 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_construct(args) -> int:
     G = construction.sample_graph(args.k - 1, args.n, args.seed)
-    if args.k == 3:
-        H = construction.build_h3(G)
-    else:
-        H = construction.build_hk(G, args.k)
+    H = construction.build_hk(G, args.k)
     comment = f"lifted from a random ({args.k - 1})-uniform source, seed={args.seed}"
     hypergraph.save(H, args.out, comment=comment)
     sys.stdout.write(f"wrote {args.out}: k={H.k} n={H.n} edges={len(H.edges)}\n")

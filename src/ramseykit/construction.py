@@ -8,7 +8,9 @@ that reads the natural integer order on vertices.  For k = 3 the rule is
     and jk is absent in the source graph,
 
 and in general the (k-1)-subset omitting the minimum vertex must be
-absent while every other (k-1)-subset is present.  A short parity
+absent while every other (k-1)-subset is present.  One bitmask lift,
+``build_hk``, applies the rule at every k through the link masks of the
+source's (k-2)-sets; ``build_h3`` is its k = 3 case.  A short parity
 argument shows any tight cycle in the lifted graph has length divisible
 by k, for every source graph.  The spectrum report checks this per lift:
 every component period of a lift's tight-walk digraph is a multiple of
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -49,41 +52,13 @@ def sample_graph(order: int, n: int, seed: int) -> Hypergraph:
     return Hypergraph(order, n, edges)
 
 
-def adjacency_masks(G: Hypergraph) -> list[int]:
-    """Bitmask neighborhoods of a pair graph (order 2)."""
-    if G.k != 2:
-        raise ValueError(f"adjacency masks need order 2, got {G.k}")
-    adj = [0] * G.n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def build_h3(G: Hypergraph) -> Hypergraph:
     """Lift a pair graph to the 3-graph of the asymmetric rule.
 
     For i < j < k the triple is an edge iff ij and ik are present and jk
-    is absent.
+    is absent.  This is ``build_hk(G, 3)``.
     """
-    if G.k != 2:
-        raise ValueError(f"source graph must have order 2, got {G.k}")
-    n = G.n
-    adj = adjacency_masks(G)
-    full = (1 << n) - 1
-    edges = []
-    for i in range(n):
-        up_i = adj[i] & (full << (i + 1)) if i + 1 < n else 0
-        m = up_i
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            cand = up_i & (full << (j + 1)) & ~adj[j]
-            while cand:
-                k = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                edges.append((i, j, k))
-    return Hypergraph(3, n, edges)
+    return build_hk(G, 3)
 
 
 def build_hk(G: Hypergraph, k: int) -> Hypergraph:
@@ -91,26 +66,41 @@ def build_hk(G: Hypergraph, k: int) -> Hypergraph:
 
     e = {i1 < ... < ik} is an edge iff the (k-1)-subset omitting the
     minimum vertex i1 is absent from the source and every other
-    (k-1)-subset is present.  Specializes to build_h3 at k = 3.
+    (k-1)-subset is present.
+
+    One pass over the source edges builds ``link[S]``, the bitmask of the
+    v with S + {v} a source edge, for each (k-2)-set S.  A source edge
+    f = P + (j,) = e - {ik} then gives all its ik at once, as the bits
+    above j of ``link[P] & ~link[f[1:]]`` and of every ``link[f - {f[a]}]``
+    with 0 < a < k-2: e - {i1} absent, every other (k-1)-subset present.
+    At k = 3 this is the pair-graph loop over i < j < ik with ij and i ik
+    present and j ik absent.
     """
     if k < 3:
         raise ValueError(f"uniformity must be at least 3, got {k}")
     if G.k != k - 1:
         raise ValueError(f"source order {G.k} does not match k-1 = {k - 1}")
-    n = G.n
-    present = G._edge_set
+    link: dict[tuple[int, ...], int] = defaultdict(int)
+    for f in G.edges:
+        for a, v in enumerate(f):
+            link[f[:a] + f[a + 1:]] |= 1 << v
     edges = []
-    # Enumerate by the forced-absent subset: it omits the minimum vertex.
-    for tail in itertools.combinations(range(n), k - 1):
-        if tail in present:
-            continue
-        for i1 in range(tail[0]):
-            if all(
-                tuple(sorted((i1,) + tail[:a] + tail[a + 1:])) in present
-                for a in range(k - 1)
-            ):
-                edges.append((i1,) + tail)
-    return Hypergraph(k, n, edges)
+    for P, mask in link.items():
+        rest = P[1:]
+        up = mask >> (P[-1] + 1) << (P[-1] + 1)
+        while up:
+            low = up & -up
+            up ^= low
+            j = low.bit_length() - 1
+            f = P + (j,)
+            cand = up & ~link.get(rest + (j,), 0)
+            for a in range(1, k - 2):
+                cand &= link[f[:a] + f[a + 1:]]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                edges.append(f + (low.bit_length() - 1,))
+    return Hypergraph(k, G.n, edges)
 
 
 # ---------------------------------------------------------------------------

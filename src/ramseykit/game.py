@@ -18,9 +18,9 @@ verifier alike, and the insertion halts mid-walk on a win, so the
 resource counts (vertices used, red edges, total edges) include the
 winning edge and nothing after it.  The witness is read off the
 walker's label by the same rule: for red, the vertices frozen at the
-prefixes before its first R, before the winning R at q and through q,
-plus the walker; for blue, the vertices frozen at the prefixes before
-its first t-2 B digits, plus the walker.
+prefix before its first R, at the label less its second and last R,
+and at the whole label, plus the walker; for blue, the vertices frozen
+at the prefixes before its first t-2 B digits, plus the walker.
 
 The exhaustive verifier is one depth-first search over the painter's
 choices that reports a broken resource cap with that branch's
@@ -113,21 +113,22 @@ PainterStrategy = Callable[[GameState, int, int], str]
 # the win rule
 
 
-def _wins_red(label: str, frozen: Container[str]) -> int:
-    """Incremental red check after an R digit was appended; returns q or -1.
+def _wins_red(label: str, frozen: Container[str]) -> bool:
+    """Incremental red check after an R digit was appended.
 
-    The walker completes a red K4-minus iff some R digit of its label at
-    a non-first R position q has the prefix of length q+1 frozen: that
-    frozen vertex is the second member of the R-subtree of the ancestor
-    at q, whose own label already contains an R.  Exact whenever the
-    check has run after every earlier edge.
+    The walker completes a red K4-minus iff its label holds exactly two
+    R digits and is itself frozen.  Proof: the walker wins iff some
+    non-first R position q of its label has the prefix of length q+1
+    frozen, since that frozen vertex is the second member of the
+    R-subtree of the ancestor at q, whose own label already holds an R.
+    When a label gains its second R, either that label is frozen (red
+    wins, and the game stops) or no vertex holds it and the walk stops
+    there, freezing it.  So no label, walking or frozen, ever holds a
+    third R, the R just appended is the only non-first R, and its prefix
+    is the whole label.  Exact whenever the check has run after every
+    earlier edge.
     """
-    q = label.find(RED, label.find(RED) + 1)
-    while q >= 0:
-        if label[: q + 1] in frozen:
-            return q
-        q = label.find(RED, q + 1)
-    return -1
+    return label in frozen and label.count(RED) == 2
 
 
 def _wins_blue(new_label: str, t: int) -> bool:
@@ -163,12 +164,11 @@ def insert_vertex(state: GameState, painter: PainterStrategy) -> list[dict]:
         state.labels[v] = label
         state.edges.append((u, v, color))
         events.append({"event": "edge", "u": u, "v": v, "color": color})
-        q = _wins_red(label, by_label) if color == RED else -1
-        if q >= 0:
+        if color == RED and _wins_red(label, by_label):
             state.status = "RedK4Minus"
             p = label.find(RED)
-            state.witness = (by_label[label[:p]], by_label[label[:q]],
-                             by_label[label[: q + 1]], v)
+            state.witness = (by_label[label[:p]], by_label[label[:-1]],
+                             by_label[label], v)
             break
         if color == BLUE and _wins_blue(label, state.t):
             state.status = "BlueClique"
@@ -411,7 +411,7 @@ def exhaustive_verify(
             new = label + c
             red2 = red + (c == RED)
             path.append(c)
-            won = _wins_red(new, frozen) >= 0 if c == RED else _wins_blue(new, t)
+            won = _wins_red(new, frozen) if c == RED else _wins_blue(new, t)
             if won:
                 if ell > vertex_bound:
                     fail(f"a branch used {ell} vertices, "

@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ramseykit
 from ramseykit import game
 from ramseykit.cli import main
 from ramseykit.construction import (
@@ -328,11 +330,23 @@ def test_missing_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+def _child_env() -> dict[str, str]:
+    """os.environ with PYTHONPATH led by the directory this ramseykit came from.
+
+    pytest's own path setting reaches only its process, so a child started
+    from a checkout would not find the package otherwise.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ramseykit.__file__)))
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ramseykit.cli", "threshold", "--n", "1000"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1000,148,")
@@ -340,6 +354,8 @@ def test_entry_point_subprocess():
 
 def test_import_loads_no_third_party_numerics():
     code = "import sys, ramseykit; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

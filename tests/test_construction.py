@@ -8,7 +8,6 @@ from oracles import random_hypergraph
 from ramseykit.construction import (
     ALPHA_CSV_HEADER,
     TriplePacking,
-    adjacency_masks,
     alpha_experiment,
     alpha_rows_to_csv,
     build_h3,
@@ -46,14 +45,6 @@ def test_sample_graph_bit_per_lex_candidate():
 def test_sample_graph_deterministic():
     assert sample_graph(2, 12, 5) == sample_graph(2, 12, 5)
     assert sample_graph(2, 12, 5) != sample_graph(2, 12, 6)
-
-
-def test_adjacency_masks():
-    G = Hypergraph(2, 4, [(0, 1), (1, 3)])
-    adj = adjacency_masks(G)
-    assert adj[0] == 0b0010
-    assert adj[1] == 0b1001
-    assert adj[2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +88,38 @@ def _lift_oracle_k(G: Hypergraph, k: int) -> set[tuple[int, ...]]:
 
 def test_build_hk_matches_rule():
     for seed in range(12):
+        G = random_hypergraph(2, 10, seed, eighths=4)
+        assert set(build_hk(G, 3).edges) == _lift_oracle_k(G, 3), seed
+    for seed in range(12):
         G = random_hypergraph(3, 8, seed, eighths=4)
         H = build_hk(G, 4)
         assert set(H.edges) == _lift_oracle_k(G, 4), seed
     for seed in range(6):
         G = random_hypergraph(4, 8, seed, eighths=5)
         assert set(build_hk(G, 5).edges) == _lift_oracle_k(G, 5), seed
+    # degenerate sources: no vertices, no edges, every edge
+    for k in (3, 4, 5):
+        for n in (0, k - 1, 7):
+            for edges in ([], itertools.combinations(range(n), k - 1)):
+                G = Hypergraph(k - 1, n, edges)
+                assert set(build_hk(G, k).edges) == _lift_oracle_k(G, k), (k, n)
 
 
-def test_build_hk_agrees_with_build_h3():
-    for seed in range(20):
-        G = sample_graph(2, 10, seed)
-        assert build_hk(G, 3) == build_h3(G), seed
+# (k, n, seeds): lifts of sample_graph(k-1, n, derive_seed(0, n, i)) beyond
+# the oracle's reach; SHA-256 of the "k n i v1 .. vk" edge lines, frozen from
+# the pair-graph loop and the subset scan that preceded the link-mask lift
+LIFT_DIGEST_CELLS = ((3, 25, 3), (3, 64, 2), (4, 18, 3), (4, 24, 2), (5, 14, 3))
+LIFT_DIGEST = "698b26f9e46b70cc165149320325bd72be297e6675ac5d1e7fe0822a0d1feaad"
+
+
+def test_lift_edges_match_frozen_digest():
+    lines = []
+    for k, n, seeds in LIFT_DIGEST_CELLS:
+        for i in range(seeds):
+            H = build_hk(sample_graph(k - 1, n, derive_seed(0, n, i)), k)
+            lines += [f"{k} {n} {i} " + " ".join(map(str, e)) for e in H.edges]
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == LIFT_DIGEST
 
 
 def test_lift_kills_off_residue_cycles():
