@@ -60,6 +60,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check_cycles(args) -> int:
     H = hypergraph.load(args.path)
+    lo = 4 if H.k == 3 else H.k
+    if args.max_s < lo:
+        raise ValueError(f"--max-s {args.max_s} is below the first scanned length {lo}")
     report = construction.mod_spectrum_report(H, args.max_s)
     sys.stdout.write(report.to_csv())
     if report.verdict == "PASS":

@@ -16,7 +16,8 @@ ordering of each edge, a tight cycle of length s is a closed walk of
 length s in it, and a closed walk inside one strongly connected component
 has a length divisible by that component's period (Denardo 1977).  A
 length that no component period divides is therefore absent.  Every
-other length is settled by the exhaustive tight-path search.
+other length s gets its own exhaustive tight-path search, bounded at
+depth s; it stops at the first closing path, which is the witness.
 
 The independence number comes from one bitmask branch and bound for
 every k: choosing the vertex v blocks the open w of each edge in which w
@@ -172,10 +173,9 @@ def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
 
     Returns the witness with the cycle's minimum vertex first, or None.
     None comes from the period certificate when no component period of
-    ``H.periods()`` divides s, and otherwise from exact backtracking: the
-    anchor is fixed as the minimum vertex of the cycle, killing rotational
-    duplicates, and candidates are pruned through the (k-1)-subset
-    completion table.
+    ``H.periods()`` divides s, and otherwise from the tight-path search
+    bounded at depth s; the witness is the first closing path of length s
+    in its depth-first order.
     """
     k = H.k
     if s < k:
@@ -186,8 +186,7 @@ def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
         return H.edges[0] if H.edges else None
     if not _period_allows(H, s):
         return None
-    hits = _scan_cycles(H, {s})
-    return hits.get(s)
+    return _scan_cycles(H, s)
 
 
 def contains_tight_cycle(H: Hypergraph, s: int) -> bool:
@@ -206,49 +205,37 @@ def cycle_spectrum(H: Hypergraph, s_max: int) -> set[int]:
     edge-existence reading, except that for 3-graphs the range starts at
     s = 4.  Lengths beyond n cannot occur and are skipped.  A length that
     no component period of ``H.periods()`` divides is absent by the period
-    certificate; the remaining lengths go to one exhaustive search.
+    certificate; each remaining length gets its own tight-path search,
+    bounded at that length, shortest first.
     """
     k = H.k
     cap = min(s_max, H.n)
-    found: set[int] = set()
-    if k != 3 and k <= cap and H.edges:
-        found.add(k)
-    targets = {s for s in range(k + 1, cap + 1) if _period_allows(H, s)}
-    return found | set(_scan_cycles(H, targets))
+    found = {k} if k != 3 and k <= cap and H.edges else set()
+    return found | {s for s in range(k + 1, cap + 1)
+                    if _period_allows(H, s) and _scan_cycles(H, s) is not None}
 
 
-def _scan_cycles(H: Hypergraph, targets: set[int]) -> dict[int, tuple[int, ...]]:
-    """One backtracking sweep over tight paths, reporting a witness per length.
+def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
+    """The first tight cycle of length s in depth-first order, or None.
 
-    ``targets`` must all lie in [k+1, n].  Paths grow from an anchored
-    first window (the anchor is the path's and cycle's minimum vertex);
-    a path of length s closes into a cycle when its k-1 wraparound
-    windows are all edges.
+    ``s`` must lie in [k+1, n].  Paths grow from an anchored first window
+    (the anchor is the path's and cycle's minimum vertex, which kills
+    rotational duplicates) through the (k-1)-subset completion table, to
+    depth s and no further; a path of length s closes into a cycle when
+    its k-1 wraparound windows are all edges.
     """
-    k, n = H.k, H.n
-    found: dict[int, tuple[int, ...]] = {}
-    if not targets:
-        return found
-    s_max = max(targets)
+    k = H.k
     comp = H.completions()
     edge_set = H._edge_set
-    path = [0] * s_max
+    path = [0] * s
 
     def extend(depth: int, visited: int, anchor: int) -> bool:
-        """Grow the tight path; returns True once every target is witnessed."""
-        if depth in targets and depth not in found:
-            ok = True
-            for i in range(depth - k + 1, depth):
-                window = tuple(sorted(path[i:depth] + path[: k - depth + i]))
-                if window not in edge_set:
-                    ok = False
-                    break
-            if ok:
-                found[depth] = tuple(path[:depth])
-                if len(found) == len(targets):
-                    return True
-        if depth == s_max:
-            return False
+        """Grow the tight path; returns True once it closes at length s."""
+        if depth == s:
+            for i in range(s - k + 1, s):
+                if tuple(sorted(path[i:] + path[: k - s + i])) not in edge_set:
+                    return False
+            return True
         suffix = tuple(sorted(path[depth - k + 1: depth]))
         for w in comp.get(suffix, ()):
             if w > anchor and not (visited >> w) & 1:
@@ -259,14 +246,13 @@ def _scan_cycles(H: Hypergraph, targets: set[int]) -> dict[int, tuple[int, ...]]
 
     for first_window in H.edges:
         anchor = first_window[0]
-        rest = first_window[1:]
-        for perm in itertools.permutations(rest):
+        for perm in itertools.permutations(first_window[1:]):
             path[0] = anchor
             path[1: k] = perm
             visited = (1 << anchor) | sum(1 << v for v in perm)
             if extend(k, visited, anchor):
-                return found
-    return found
+                return tuple(path)
+    return None
 
 
 def is_independent(H: Hypergraph, vertices: Iterable[int]) -> bool:

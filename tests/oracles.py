@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 
 from ramseykit.game import BLUE, RED
 from ramseykit.hypergraph import Hypergraph
@@ -23,6 +24,13 @@ def random_hypergraph(k: int, n: int, seed: int, eighths: int = 4) -> Hypergraph
         e for e in itertools.combinations(range(n), k) if rng.next_below(8) < eighths
     ]
     return Hypergraph(k, n, edges)
+
+
+def reference_hosts() -> list[Hypergraph]:
+    """Random 3-graphs on 25 vertices from one Random(0) stream: 2 x 300 edges, 15 x 200."""
+    rng = random.Random(0)
+    triples = list(itertools.combinations(range(25), 3))
+    return [Hypergraph(3, 25, rng.sample(triples, m)) for m in [300] * 2 + [200] * 15]
 
 
 def brute_has_tight_cycle(H: Hypergraph, s: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import ramseykit
+from oracles import reference_hosts
 from ramseykit import game
 from ramseykit.cli import main
 from ramseykit.construction import (
@@ -81,6 +83,37 @@ def test_check_cycles_default_counterexample_path(tmp_path, capsys):
     assert run_cli("check-cycles", "--in", str(path), "--max-s", "7") == 1
     capsys.readouterr()
     assert (tmp_path / "c7.txt.counterexample.txt").exists()
+
+
+# SHA-256 of the counterexample file check-cycles --max-s 12 writes for the
+# third reference host, frozen from the single sweep to depth 12
+HOST_COUNTEREXAMPLE_DIGEST = "43d2ad79c1ddf6b2d5c3d0226691de332fb0f7ec92ab740e67e36d41fc68ddfc"
+
+
+def test_check_cycles_counterexample_matches_frozen_digest(tmp_path, capsys):
+    path = tmp_path / "host.txt"
+    save(reference_hosts()[2], path)
+    cx = tmp_path / "cx.txt"
+    code = run_cli(
+        "check-cycles", "--in", str(path), "--max-s", "12",
+        "--counterexample-out", str(cx),
+    )
+    assert code == 1
+    capsys.readouterr()
+    lines = cx.read_text().splitlines()
+    assert [ln.split()[0] for ln in lines[1:]] == [f"s={s}" for s in (5, 7, 8, 10, 11)]
+    assert hashlib.sha256(cx.read_bytes()).hexdigest() == HOST_COUNTEREXAMPLE_DIGEST
+
+
+@pytest.mark.parametrize("k,max_s", [(3, 3), (3, 0), (3, -3), (4, 3)])
+def test_check_cycles_empty_range_is_usage_error(tmp_path, capsys, k, max_s):
+    path = tmp_path / "h.txt"
+    save(tight_cycle(k, 6), path)
+    assert run_cli("check-cycles", "--in", str(path), "--max-s", str(max_s)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below the first scanned length" in captured.err
+    assert "PASS" not in captured.err
 
 
 def test_check_cycles_missing_file_is_usage_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from oracles import (
     brute_periods,
     brute_spectrum,
     random_hypergraph,
+    reference_hosts,
 )
 from ramseykit.construction import build_h3, build_hk, sample_graph
 from ramseykit.hypergraph import (
@@ -139,9 +140,33 @@ def test_cycle_edge_cases():
 
 
 def test_spectrum_matches_brute():
-    for seed in range(12):
-        H = random_hypergraph(3, 7, seed, eighths=4)
-        assert cycle_spectrum(H, 7) == brute_spectrum(H, 7), seed
+    n = 7
+    for k in (3, 4):
+        for seed in range(12):
+            H = random_hypergraph(k, n, seed, eighths=4)
+            for s_max in range(k, n + 1):
+                assert cycle_spectrum(H, s_max) == brute_spectrum(H, s_max), (k, seed, s_max)
+
+
+# SHA-256 of the spectra up to 12 and the witnesses for s = 4..12 on the
+# reference hosts and on the lifts of sample_graph(k-1, n, derive_seed(0, n, i)),
+# frozen from the single sweep to depth 12 that reported a witness per length
+WITNESS_LIFT_CELLS = [(3, 14), (3, 20), (4, 18)]
+WITNESS_DIGEST = "96febb7aa8d1b4233aa77246205680c9aa72f66cf29a29a0fc5103df46778de0"
+
+
+def test_witnesses_match_frozen_digest():
+    graphs = [(f"host {i}", H) for i, H in enumerate(reference_hosts())]
+    for k, n in WITNESS_LIFT_CELLS:
+        for i in range(4):
+            graphs.append((f"lift {k} {n} {i}",
+                           build_hk(sample_graph(k - 1, n, derive_seed(0, n, i)), k)))
+    lines = []
+    for label, H in graphs:
+        lines.append(f"{label} spectrum {sorted(cycle_spectrum(H, 12))}")
+        lines.extend(f"{label} s={s} {find_tight_cycle(H, s)}" for s in range(4, 13))
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == WITNESS_DIGEST
 
 
 def test_period_examples():
