@@ -63,6 +63,10 @@ def _cmd_check_cycles(args) -> int:
     lo = 4 if H.k == 3 else H.k
     if args.max_s < lo:
         raise ValueError(f"--max-s {args.max_s} is below the first scanned length {lo}")
+    if H.n < lo:
+        raise ValueError(
+            f"the file has n={H.n} vertices, fewer than the first scanned length {lo}"
+        )
     report = construction.mod_spectrum_report(H, args.max_s)
     sys.stdout.write(report.to_csv())
     if report.verdict == "PASS":
@@ -90,6 +94,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_steiner(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds {args.seeds} must be at least 1")
     lines = ["t,seed,size"]
     best = None
     for i in range(args.seeds):
@@ -99,7 +105,7 @@ def _cmd_steiner(args) -> int:
         if best is None or len(packing) > len(best):
             best = packing
     _emit("\n".join(lines) + "\n", args.out)
-    if args.packing_out and best is not None:
+    if args.packing_out:
         body = ["# best triple packing found"] + [
             f"{a} {b} {c}" for a, b, c in best.triples
         ]

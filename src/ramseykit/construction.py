@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -173,34 +174,45 @@ class TriplePacking:
 def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
     """Randomized greedy triple packing with one improvement sweep.
 
-    All triples are shuffled by the seed and added greedily whenever all
-    three pairs are still free.  A single local pass then tries, for each
-    chosen triple, to remove it and fit two leftover triples instead;
-    profitable swaps are kept.
+    The lexicographic ranks of all C(t, 3) triples are shuffled by the
+    seed; position i of the shuffle holds the triple of rank ranks[i],
+    and pos inverts it.  Triples are added greedily in position order
+    whenever all three pairs are still free.  A single pass then tries,
+    for each chosen triple in that order, to lift it out and fit two
+    leftover triples instead; profitable swaps are kept.  Only triples
+    sharing a pair {x, y} with the lifted one can come free, and they are
+    read off the bitmask of vertices w with {x, w} and {y, w} both
+    uncovered; the earliest free one is taken, then the earliest that
+    still fits beside it.
     """
     if t < 3:
         raise ValueError(f"need at least 3 points, got {t}")
     check_seed(seed)
-    rng = SplitMix64(seed)
-    pool = list(itertools.combinations(range(t), 3))
-    rng.shuffle(pool)
+    triples = list(itertools.combinations(range(t), 3))
+    ranks = array("i", range(len(triples)))
+    SplitMix64(seed).shuffle(ranks)
+    pos = array("i", ranks)
+    for i, r in enumerate(ranks):
+        pos[r] = i
+    pool = [triples[r] for r in ranks]
+    # rank of a < b < c is head[a] - mid[b] + c, the closed-form count of
+    # lexicographically smaller triples
+    n3 = math.comb(t, 3)
+    head = [n3 - math.comb(t - a, 3) + math.comb(t - a - 1, 2) for a in range(t)]
+    mid = [math.comb(t - b, 2) + b + 1 for b in range(t)]
 
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b, c) in enumerate(pool):
-        for p in ((a, b), (a, c), (b, c)):
-            by_pair.setdefault(p, []).append(i)
-
-    # bit c of used[a] is set when the pair (a, c), a < c, is covered
-    used = [0] * t
+    # bit w of cover[v] is set when the pair {v, w} is covered
+    cover = [0] * t
 
     def fits(i: int) -> bool:
         a, b, c = pool[i]
-        return not (used[a] >> b & 1 or used[a] >> c & 1 or used[b] >> c & 1)
+        return not (cover[a] & (1 << b | 1 << c) or cover[b] >> c & 1)
 
     def flip(i: int) -> None:
         a, b, c = pool[i]
-        used[a] ^= 1 << b | 1 << c
-        used[b] ^= 1 << c
+        cover[a] ^= 1 << b | 1 << c
+        cover[b] ^= 1 << a | 1 << c
+        cover[c] ^= 1 << a | 1 << b
 
     order: list[int] = []
     for i in range(len(pool)):
@@ -208,18 +220,26 @@ def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
             order.append(i)
             flip(i)
 
+    full = (1 << t) - 1
     kept = set(order)
     for i in order:
         flip(i)
-        # only triples sharing a pair with pool[i] can have come free; a
-        # chosen triple never fits, and pool[i] itself is listed three times
+        # free triples share exactly one pair {x, y} with pool[i]; z is its
+        # third vertex, so pool[i] itself is left out
+        free = []
         a, b, c = pool[i]
-        free = (j for j in sorted(by_pair[a, b] + by_pair[a, c] + by_pair[b, c])
-                if j != i and fits(j))
-        first = next(free, None)
-        if first is not None:
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            bits = full & ~(cover[x] | cover[y] | 1 << x | 1 << y | 1 << z)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                u, v, w = sorted((x, y, low.bit_length() - 1))
+                free.append(pos[head[u] - mid[v] + w])
+        if free:
+            free.sort()
+            first = free[0]
             flip(first)
-            second = next(free, None)
+            second = next((j for j in free[1:] if fits(j)), None)
             if second is not None:
                 flip(second)
                 kept.remove(i)
@@ -228,8 +248,7 @@ def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
             flip(first)
         flip(i)
 
-    triples = sorted(pool[i] for i in kept)
-    return TriplePacking(t=t, triples=tuple(triples))
+    return TriplePacking(t=t, triples=tuple(sorted(pool[i] for i in kept)))
 
 
 # ---------------------------------------------------------------------------

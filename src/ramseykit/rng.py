@@ -16,6 +16,8 @@ platform and Python build.  The stream contract:
 
 from __future__ import annotations
 
+from collections.abc import MutableSequence
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -88,8 +90,12 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle with the documented index order."""
+    def shuffle(self, items: MutableSequence) -> None:
+        """In-place Fisher-Yates shuffle with the documented index order.
+
+        The draws depend only on len(items), so any mutable sequence of
+        the same length (a list, an ``array``) gets the same permutation.
+        """
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]

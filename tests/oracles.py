@@ -167,6 +167,55 @@ def brute_matching_size(P) -> int:
     return sum(1 for x in range(P.p) if augment(x, set()))
 
 
+def steiner_packing_by_pair(t: int, seed: int) -> tuple[tuple[int, int, int], ...]:
+    """The greedy packing and its swap sweep, read through a pair index.
+
+    Shuffles the triple list itself and indexes every pair by the
+    positions of its t - 2 triples; the sweep reads a lifted triple's
+    three pair lists and tests each position lazily in ascending order.
+    """
+    rng = SplitMix64(seed)
+    pool = list(itertools.combinations(range(t), 3))
+    rng.shuffle(pool)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, c) in enumerate(pool):
+        for p in ((a, b), (a, c), (b, c)):
+            by_pair.setdefault(p, []).append(i)
+    used = set()
+
+    def fits(i: int) -> bool:
+        a, b, c = pool[i]
+        return not {(a, b), (a, c), (b, c)} & used
+
+    def flip(i: int) -> None:
+        a, b, c = pool[i]
+        used.symmetric_difference_update({(a, b), (a, c), (b, c)})
+
+    order = []
+    for i in range(len(pool)):
+        if fits(i):
+            order.append(i)
+            flip(i)
+    kept = set(order)
+    for i in order:
+        flip(i)
+        a, b, c = pool[i]
+        free = (j for j in sorted(by_pair[a, b] + by_pair[a, c] + by_pair[b, c])
+                if j != i and fits(j))
+        first = next(free, None)
+        if first is not None:
+            flip(first)
+            second = next(free, None)
+            if second is not None:
+                flip(second)
+                kept.remove(i)
+                kept.update((first, second))
+                continue
+            flip(first)
+        flip(i)
+    return tuple(sorted(pool[i] for i in kept))
+
+
 def edge_color(label_a: str, label_b: str):
     """Color of the exposed edge between two game labels, or None if unexposed.
 

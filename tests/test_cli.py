@@ -19,7 +19,7 @@ from ramseykit.construction import (
 )
 from ramseykit.game import upper_bound_estimate
 from ramseykit.homomorphism import validate_homomorphism
-from ramseykit.hypergraph import complete, load, save, tight_cycle
+from ramseykit.hypergraph import Hypergraph, complete, load, save, tight_cycle
 from ramseykit.poset import Poset
 
 
@@ -116,6 +116,18 @@ def test_check_cycles_empty_range_is_usage_error(tmp_path, capsys, k, max_s):
     assert "PASS" not in captured.err
 
 
+@pytest.mark.parametrize("k,n,edges", [(3, 3, [(0, 1, 2)]), (4, 3, []), (3, 0, [])])
+def test_check_cycles_too_few_vertices_is_usage_error(tmp_path, capsys, k, n, edges):
+    path = tmp_path / "h.txt"
+    save(Hypergraph(k, n, edges), path)
+    assert run_cli("check-cycles", "--in", str(path), "--max-s", "12") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lo = 4 if k == 3 else k
+    assert f"n={n} vertices, fewer than the first scanned length {lo}" in captured.err
+    assert "PASS" not in captured.err
+
+
 def test_check_cycles_missing_file_is_usage_error(tmp_path, capsys):
     code = run_cli("check-cycles", "--in", str(tmp_path / "nope.txt"), "--max-s", "6")
     assert code == 2
@@ -152,6 +164,19 @@ def test_steiner_csv_and_packing(tmp_path, capsys):
         if not ln.startswith("#")
     ]
     assert len(triples) == best
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_steiner_without_seeds_is_usage_error(tmp_path, capsys, seeds):
+    pack = tmp_path / "p.txt"
+    code = run_cli(
+        "steiner", "--t", "9", "--seeds", seeds, "--packing-out", str(pack),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--seeds {seeds} must be at least 1" in captured.err
+    assert not pack.exists()
 
 
 def test_threshold_csv(capsys):

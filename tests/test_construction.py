@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from oracles import random_hypergraph
+from oracles import random_hypergraph, steiner_packing_by_pair
 from ramseykit.construction import (
     ALPHA_CSV_HEADER,
     TriplePacking,
@@ -188,25 +188,37 @@ def test_steiner_packing_deterministic():
     assert a.triples == b.triples
 
 
-# SHA-256 of the "seed a b c" lines of the packings for seeds 0..9, frozen
-# from the earlier pair-counter implementation
+def test_steiner_packing_matches_by_pair_oracle():
+    cells = [(t, seed) for t in range(3, 26) for seed in range(6)]
+    cells += [(51, seed) for seed in range(3)]
+    for t, seed in cells:
+        expect = steiner_packing_by_pair(t, seed)
+        assert greedy_steiner_packing(t, seed).triples == expect, (t, seed)
+
+
+# t -> (seeds, SHA-256 of the "seed a b c" lines of the packings for those
+# seeds); t <= 33 frozen from the earlier pair-counter implementation, t = 51
+# and 99 from the pair-index sweep
 STEINER_DIGESTS = {
-    9: "5cc53cbdc6cd44ad8e214f7cc804258f97159b257db420edcde44d6f2b786958",
-    15: "b2d50c7a46a2d941436292cd7daf1d8569d0dd4178011b6911bf60a7cf8b2bfb",
-    21: "7274381a1377c75268c9a0bcf666c7782c37eca8bf6df4aafe4fdac479df1acc",
-    33: "9d009f64475c9717c30b0fb63b05c1b0e534fa5f1b33faddb69d860cde4dcd62",
+    9: (10, "5cc53cbdc6cd44ad8e214f7cc804258f97159b257db420edcde44d6f2b786958"),
+    15: (10, "b2d50c7a46a2d941436292cd7daf1d8569d0dd4178011b6911bf60a7cf8b2bfb"),
+    21: (10, "7274381a1377c75268c9a0bcf666c7782c37eca8bf6df4aafe4fdac479df1acc"),
+    33: (10, "9d009f64475c9717c30b0fb63b05c1b0e534fa5f1b33faddb69d860cde4dcd62"),
+    51: (10, "88913b86a216bd5d8ee475b753c71d13944695084be64d047144b007a46a057f"),
+    99: (3, "89865a84d367edd03338ea1cde5fdee83f30075606165eb6dacac2fd7ec49827"),
 }
 
 
 @pytest.mark.parametrize("t", sorted(STEINER_DIGESTS))
 def test_steiner_packing_matches_frozen_digest(t):
+    seeds, expect = STEINER_DIGESTS[t]
     lines = [
         f"{seed} {a} {b} {c}"
-        for seed in range(10)
+        for seed in range(seeds)
         for a, b, c in greedy_steiner_packing(t, seed).triples
     ]
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-    assert digest == STEINER_DIGESTS[t]
+    assert digest == expect
 
 
 def test_steiner_rejects_tiny():

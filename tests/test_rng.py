@@ -1,3 +1,6 @@
+import itertools
+from array import array
+
 import pytest
 
 from ramseykit.rng import MASK64, SplitMix64, check_seed, derive_seed, mix64
@@ -71,6 +74,19 @@ def test_shuffle_matches_manual_fisher_yates():
         replay[i], replay[j] = replay[j], replay[i]
     assert items == replay
     assert sorted(items) == list(range(20))
+
+
+def test_shuffle_permutation_ignores_item_type():
+    # the draws depend on the length alone: an array of ranks and the list
+    # of tuples they rank are moved by the same permutation
+    triples = list(itertools.combinations(range(12), 3))
+    for seed in (0, 8, MASK64):
+        shuffled = list(triples)
+        ranks = array("i", range(len(triples)))
+        SplitMix64(seed).shuffle(shuffled)
+        SplitMix64(seed).shuffle(ranks)
+        assert shuffled != triples
+        assert [triples[r] for r in ranks] == shuffled
 
 
 def test_derive_seed_separates_parts():
