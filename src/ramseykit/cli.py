@@ -50,6 +50,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
+    if args.k < 3:
+        raise ValueError(f"uniformity must be at least 3, got {args.k}")
     G = construction.sample_graph(args.k - 1, args.n, args.seed)
     H = construction.build_hk(G, args.k)
     comment = f"lifted from a random ({args.k - 1})-uniform source, seed={args.seed}"
@@ -60,7 +62,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check_cycles(args) -> int:
     H = hypergraph.load(args.path)
-    lo = 4 if H.k == 3 else H.k
+    lo = hypergraph.scanned_lengths(H, args.max_s).start
     if args.max_s < lo:
         raise ValueError(f"--max-s {args.max_s} is below the first scanned length {lo}")
     if H.n < lo:
@@ -74,9 +76,7 @@ def _cmd_check_cycles(args) -> int:
         return 0
     lines = ["# tight cycles violating the divisibility rule"]
     for s in report.offending:
-        witness = hypergraph.find_tight_cycle(H, s)
-        shown = " ".join(str(v) for v in witness) if witness else "?"
-        lines.append(f"s={s} cycle: {shown}")
+        lines.append(f"s={s} cycle: " + " ".join(map(str, report.witnesses[s])))
     cx = args.counterexample_out or args.path + ".counterexample.txt"
     _write_text(cx, "\n".join(lines) + "\n")
     sys.stderr.write(
@@ -86,6 +86,13 @@ def _cmd_check_cycles(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    if args.seeds_per_n < 1:
+        raise ValueError(f"--seeds-per-n {args.seeds_per_n} must be at least 1")
+    if not args.n_values:
+        raise ValueError("--n-values names no order")
+    for n in args.n_values:
+        if not 2 <= n <= args.cap:
+            raise ValueError(f"--n-values {n} lies outside [2, --cap {args.cap}]")
     rows = construction.alpha_experiment(
         args.n_values, args.seeds_per_n, args.seed, cap=args.cap
     )

@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, cycle_spectrum, independence_number_exact
+from .hypergraph import Hypergraph, cycle_witnesses, independence_number_exact
 from .rng import SplitMix64, check_seed, derive_seed
 
 
@@ -110,38 +110,39 @@ def build_hk(G: Hypergraph, k: int) -> Hypergraph:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Per-length cycle presence for a lifted k-graph, with a verdict.
+    """Per-length tight-cycle witnesses for a lifted k-graph, with a verdict.
 
-    verdict is PASS iff no tight cycle of length s with s not divisible
-    by k was found among the scanned lengths.
+    ``witnesses`` maps each scanned length to ``find_tight_cycle``'s
+    witness or None; ``found``, ``offending`` (found, not divisible by k)
+    and the verdict (PASS iff nothing offends) are read off it.
     """
 
     k: int
     n: int
     s_max: int
-    found: dict[int, bool] = field(compare=False)
-    verdict: str = "PASS"
+    witnesses: dict[int, Optional[tuple[int, ...]]] = field(hash=False)
+
+    @property
+    def found(self) -> dict[int, bool]:
+        return {s: w is not None for s, w in self.witnesses.items()}
 
     @property
     def offending(self) -> tuple[int, ...]:
         return tuple(s for s, hit in sorted(self.found.items()) if hit and s % self.k != 0)
 
+    @property
+    def verdict(self) -> str:
+        return "FAIL" if self.offending else "PASS"
+
     def to_csv(self) -> str:
         lines = ["s,cycle_found"]
-        for s in sorted(self.found):
-            lines.append(f"{s},{'true' if self.found[s] else 'false'}")
+        lines += [f"{s},{'true' if hit else 'false'}" for s, hit in sorted(self.found.items())]
         return "\n".join(lines) + "\n"
 
 
 def mod_spectrum_report(H: Hypergraph, s_max: int) -> SpectrumReport:
-    """Scan all cycle lengths up to s_max and judge the mod-k invariant."""
-    k = H.k
-    cap = min(s_max, H.n)
-    lo = 4 if k == 3 else k
-    spectrum = cycle_spectrum(H, cap)
-    found = {s: (s in spectrum) for s in range(lo, cap + 1)}
-    verdict = "PASS" if all(s % k == 0 or not hit for s, hit in found.items()) else "FAIL"
-    return SpectrumReport(k=k, n=H.n, s_max=s_max, found=found, verdict=verdict)
+    """Scan all cycle lengths up to s_max, keeping each witness, and judge the mod-k invariant."""
+    return SpectrumReport(k=H.k, n=H.n, s_max=s_max, witnesses=cycle_witnesses(H, s_max))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ window of ``k`` consecutive vertices.  For ``s == k`` the windows collapse
 to a single k-set, so "contains a tight cycle of length k" degenerates to
 plain edge existence; this module implements that reading.
 
-Absence of a tight cycle of length s >= k+1 is proved in one of two ways.
-The *period certificate*: the tight walks of H live in the digraph on
+Each length s is decided in one place, :func:`find_tight_cycle`.  Absence
+of a tight cycle of length s >= k+1 is proved in one of two ways.  The
+*period certificate*: the tight walks of H live in the digraph on
 ordered (k-1)-tuples with one arc (x1..x_{k-1}) -> (x2..x_k) for each
 ordering of each edge, a tight cycle of length s is a closed walk of
 length s in it, and a closed walk inside one strongly connected component
@@ -18,6 +19,10 @@ has a length divisible by that component's period (Denardo 1977).  A
 length that no component period divides is therefore absent.  Every
 other length s gets its own exhaustive tight-path search, bounded at
 depth s; it stops at the first closing path, which is the witness.
+
+The lengths a spectrum scans, 4 (k for k != 3) up to min(s_max, n), have
+one home, :func:`scanned_lengths`; :func:`cycle_witnesses` maps each to
+its witness or None, and every spectrum is read off that map.
 
 The independence number comes from one bitmask branch and bound for
 every k: choosing the vertex v blocks the open w of each edge in which w
@@ -54,7 +59,7 @@ class Hypergraph:
         for raw in edges:
             e = tuple(sorted(raw))
             if len(e) != k or len(set(e)) != k:
-                raise ValueError(f"edge {tuple(raw)} does not have {k} distinct vertices")
+                raise ValueError(f"edge {e} does not have {k} distinct vertices")
             if e[0] < 0 or e[-1] >= n:
                 raise ValueError(f"edge {e} has a vertex outside [0, {n})")
             normalized.add(e)
@@ -163,19 +168,14 @@ def _walk_periods(comp: dict[tuple[int, ...], tuple[int, ...]]) -> frozenset[int
     return frozenset(periods)
 
 
-def _period_allows(H: Hypergraph, s: int) -> bool:
-    """False when the period certificate proves no tight cycle of length s."""
-    return any(s % p == 0 for p in H.periods())
-
-
 def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     """Search for a tight cycle witness: s distinct vertices, cyclically ordered.
 
-    Returns the witness with the cycle's minimum vertex first, or None.
-    None comes from the period certificate when no component period of
-    ``H.periods()`` divides s, and otherwise from the tight-path search
-    bounded at depth s; the witness is the first closing path of length s
-    in its depth-first order.
+    The one place a length is decided.  Returns the witness with the
+    cycle's minimum vertex first, or None.  Beyond s == k (an edge) and
+    s > n (None), None comes from the period certificate when no period
+    of ``H.periods()`` divides s, and otherwise from the tight-path search
+    bounded at depth s, whose first closing path is the witness.
     """
     k = H.k
     if s < k:
@@ -184,7 +184,7 @@ def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
         return None
     if s == k:
         return H.edges[0] if H.edges else None
-    if not _period_allows(H, s):
+    if not any(s % p == 0 for p in H.periods()):
         return None
     return _scan_cycles(H, s)
 
@@ -198,38 +198,38 @@ def contains_tight_cycle(H: Hypergraph, s: int) -> bool:
     return find_tight_cycle(H, s) is not None
 
 
-def cycle_spectrum(H: Hypergraph, s_max: int) -> set[int]:
-    """All tight-cycle lengths present in H up to s_max.
+def scanned_lengths(H: Hypergraph, s_max: int) -> range:
+    """The lengths a spectrum up to s_max scans: from 4 for 3-graphs and
+    from k (edge existence) otherwise, up to min(s_max, n)."""
+    return range(4 if H.k == 3 else H.k, min(s_max, H.n) + 1)
 
-    The scanned range is s in [k+1, s_max] together with s = k under the
-    edge-existence reading, except that for 3-graphs the range starts at
-    s = 4.  Lengths beyond n cannot occur and are skipped.  A length that
-    no component period of ``H.periods()`` divides is absent by the period
-    certificate; each remaining length gets its own tight-path search,
-    bounded at that length, shortest first.
-    """
-    k = H.k
-    cap = min(s_max, H.n)
-    found = {k} if k != 3 and k <= cap and H.edges else set()
-    return found | {s for s in range(k + 1, cap + 1)
-                    if _period_allows(H, s) and _scan_cycles(H, s) is not None}
+
+def cycle_witnesses(H: Hypergraph, s_max: int) -> dict[int, Optional[tuple[int, ...]]]:
+    """Each length of ``scanned_lengths(H, s_max)`` mapped to ``find_tight_cycle``'s answer."""
+    return {s: find_tight_cycle(H, s) for s in scanned_lengths(H, s_max)}
+
+
+def cycle_spectrum(H: Hypergraph, s_max: int) -> set[int]:
+    """All tight-cycle lengths present in H up to s_max: the lengths of
+    ``scanned_lengths`` with a witness in ``cycle_witnesses``."""
+    return {s for s, w in cycle_witnesses(H, s_max).items() if w is not None}
 
 
 def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     """The first tight cycle of length s in depth-first order, or None.
 
     ``s`` must lie in [k+1, n].  Paths grow from an anchored first window
-    (the anchor is the path's and cycle's minimum vertex, which kills
-    rotational duplicates) through the (k-1)-subset completion table, to
-    depth s and no further; a path of length s closes into a cycle when
-    its k-1 wraparound windows are all edges.
+    (the anchor is the cycle's minimum vertex, which kills rotational
+    duplicates, so the vertices up to it start out visited) through the
+    (k-1)-subset completion table, to depth s and no further; a path of
+    length s closes into a cycle when its k-1 wraparound windows are edges.
     """
     k = H.k
     comp = H.completions()
     edge_set = H._edge_set
     path = [0] * s
 
-    def extend(depth: int, visited: int, anchor: int) -> bool:
+    def extend(depth: int, visited: int) -> bool:
         """Grow the tight path; returns True once it closes at length s."""
         if depth == s:
             for i in range(s - k + 1, s):
@@ -238,9 +238,9 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
             return True
         suffix = tuple(sorted(path[depth - k + 1: depth]))
         for w in comp.get(suffix, ()):
-            if w > anchor and not (visited >> w) & 1:
+            if not (visited >> w) & 1:
                 path[depth] = w
-                if extend(depth + 1, visited | (1 << w), anchor):
+                if extend(depth + 1, visited | (1 << w)):
                     return True
         return False
 
@@ -249,8 +249,8 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
         for perm in itertools.permutations(first_window[1:]):
             path[0] = anchor
             path[1: k] = perm
-            visited = (1 << anchor) | sum(1 << v for v in perm)
-            if extend(k, visited, anchor):
+            visited = (2 << anchor) - 1 | sum(1 << v for v in perm)
+            if extend(k, visited):
                 return tuple(path)
     return None
 

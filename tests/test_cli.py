@@ -9,7 +9,7 @@ import pytest
 
 import ramseykit
 from oracles import reference_hosts
-from ramseykit import game
+from ramseykit import game, hypergraph
 from ramseykit.cli import main
 from ramseykit.construction import (
     alpha_experiment,
@@ -51,6 +51,16 @@ def test_construct_k4(tmp_path):
     out = tmp_path / "h4.txt"
     assert run_cli("construct", "--n", "10", "--k", "4", "--seed", "3", "--out", str(out)) == 0
     assert load(out).k == 4
+
+
+@pytest.mark.parametrize("k", [2, 0])
+def test_construct_small_k_is_usage_error(tmp_path, capsys, k):
+    out = tmp_path / "h.txt"
+    assert run_cli("construct", "--n", "10", "--k", str(k), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ramseykit: uniformity must be at least 3, got {k}\n"
+    assert not out.exists()
 
 
 def test_check_cycles_pass(tmp_path, capsys):
@@ -105,6 +115,27 @@ def test_check_cycles_counterexample_matches_frozen_digest(tmp_path, capsys):
     assert hashlib.sha256(cx.read_bytes()).hexdigest() == HOST_COUNTEREXAMPLE_DIGEST
 
 
+def test_check_cycles_scans_each_length_once(tmp_path, capsys, monkeypatch):
+    # the counterexample reuses the spectrum's witnesses instead of searching again
+    path = tmp_path / "host.txt"
+    save(reference_hosts()[2], path)
+    scanned = []
+    scan = hypergraph._scan_cycles
+
+    def counting_scan(H, s):
+        scanned.append(s)
+        return scan(H, s)
+
+    monkeypatch.setattr(hypergraph, "_scan_cycles", counting_scan)
+    code = run_cli(
+        "check-cycles", "--in", str(path), "--max-s", "12",
+        "--counterexample-out", str(tmp_path / "cx.txt"),
+    )
+    assert code == 1
+    capsys.readouterr()
+    assert scanned == list(range(4, 13))
+
+
 @pytest.mark.parametrize("k,max_s", [(3, 3), (3, 0), (3, -3), (4, 3)])
 def test_check_cycles_empty_range_is_usage_error(tmp_path, capsys, k, max_s):
     path = tmp_path / "h.txt"
@@ -146,6 +177,26 @@ def test_alpha_csv_matches_library(tmp_path, capsys):
     ) == 0
     expect = alpha_rows_to_csv(alpha_experiment([10, 12], 2, 3))
     assert out.read_text() == expect
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--seeds-per-n", "0"], "--seeds-per-n 0 must be at least 1"),
+        (["--seeds-per-n", "-2"], "--seeds-per-n -2 must be at least 1"),
+        (["--n-values", ","], "--n-values names no order"),
+        (["--n-values", "1,100"], "--n-values 1 lies outside [2, --cap 64]"),
+        (["--n-values", "10,100"], "--n-values 100 lies outside [2, --cap 64]"),
+        (["--n-values", "10", "--cap", "8"], "--n-values 10 lies outside [2, --cap 8]"),
+    ],
+)
+def test_alpha_bad_grid_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "a.csv"
+    assert run_cli("alpha", "--seeds-per-n", "1", *argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ramseykit: {message}\n"
+    assert not out.exists()
 
 
 def test_steiner_csv_and_packing(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from oracles import random_hypergraph, steiner_packing_by_pair
 from ramseykit.construction import (
     ALPHA_CSV_HEADER,
+    SpectrumReport,
     TriplePacking,
     alpha_experiment,
     alpha_rows_to_csv,
@@ -137,6 +138,17 @@ def test_spectrum_report_fails_on_plain_cycle():
     assert report.verdict == "FAIL"
     assert report.offending == (5,)
     assert report.found[5] is True
+
+
+def test_spectrum_report_verdict_reads_its_witnesses():
+    # a hand-built table: the verdict and offending lengths follow the witnesses
+    bad = SpectrumReport(k=3, n=6, s_max=6, witnesses={4: None, 5: (0, 1, 2, 3, 4), 6: None})
+    assert bad.verdict == "FAIL"
+    assert bad.offending == (5,)
+    assert bad.found == {4: False, 5: True, 6: False}
+    good = SpectrumReport(k=3, n=6, s_max=6, witnesses={4: None, 5: None, 6: (0, 1, 2, 3, 4, 5)})
+    assert good.verdict == "PASS" and good.offending == ()
+    assert bad != good and hash(bad) == hash(good)  # equality reads the table
 
 
 def test_spectrum_report_csv_shape():

@@ -11,7 +11,7 @@ from oracles import (
     random_hypergraph,
     reference_hosts,
 )
-from ramseykit.construction import build_h3, build_hk, sample_graph
+from ramseykit.construction import build_h3, build_hk, mod_spectrum_report, sample_graph
 from ramseykit.hypergraph import (
     Hypergraph,
     complete,
@@ -56,6 +56,12 @@ def test_basic_shape():
 def test_rejects_malformed(k, n, edges):
     with pytest.raises(ValueError):
         Hypergraph(k, n, edges)
+
+
+def test_rejects_iterator_edge_naming_its_vertices():
+    # the message shows the vertices read, not the exhausted iterator
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) does not have 3 distinct vertices"):
+        Hypergraph(3, 5, [iter([0, 1])])
 
 
 def test_normalizes_edge_presentation():
@@ -167,6 +173,17 @@ def test_witnesses_match_frozen_digest():
         lines.extend(f"{label} s={s} {find_tight_cycle(H, s)}" for s in range(4, 13))
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == WITNESS_DIGEST
+
+
+def test_spectrum_report_keeps_find_tight_cycle_witnesses():
+    graphs = list(reference_hosts())
+    for k, n in WITNESS_LIFT_CELLS:
+        graphs += [build_hk(sample_graph(k - 1, n, derive_seed(0, n, i)), k) for i in range(4)]
+    for H in graphs:
+        report = mod_spectrum_report(H, 12)
+        assert list(report.witnesses) == list(range(4 if H.k == 3 else H.k, 13))
+        for s, witness in report.witnesses.items():
+            assert witness == find_tight_cycle(H, s), (H, s)
 
 
 def test_period_examples():
