@@ -56,9 +56,7 @@ from .hypergraph import (
     contains_tight_cycle,
     cycle_spectrum,
     find_tight_cycle,
-    independence_greedy,
     independence_number_exact,
-    is_independent,
     load,
     save,
     tight_cycle,
@@ -115,9 +113,7 @@ __all__ = [
     "greedy_saver",
     "greedy_steiner_packing",
     "ideals",
-    "independence_greedy",
     "independence_number_exact",
-    "is_independent",
     "j4_log2_lower_bound",
     "load",
     "max_antichain",

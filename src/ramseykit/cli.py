@@ -52,6 +52,11 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_construct(args) -> int:
     if args.k < 3:
         raise ValueError(f"uniformity must be at least 3, got {args.k}")
+    if args.n < args.k - 1:
+        raise ValueError(
+            f"--n {args.n} must be at least {args.k - 1}, "
+            f"one less than --k {args.k}: a source edge has k-1 vertices"
+        )
     G = construction.sample_graph(args.k - 1, args.n, args.seed)
     H = construction.build_hk(G, args.k)
     comment = f"lifted from a random ({args.k - 1})-uniform source, seed={args.seed}"
@@ -186,20 +191,25 @@ def _cmd_game_verify(args) -> int:
     return 0
 
 
-def _parse_hypergraph_spec(spec: str) -> hypergraph.Hypergraph:
+def _parse_hypergraph_spec(option: str, spec: str) -> hypergraph.Hypergraph:
     kind, _, rest = spec.partition(":")
-    if kind == "cycle":
-        return hypergraph.tight_cycle(3, int(rest))
-    if kind == "clique":
-        return hypergraph.complete(3, int(rest))
     if kind == "file":
         return hypergraph.load(rest)
-    raise ValueError(f"expected cycle:S, clique:N or file:PATH, got {spec!r}")
+    if kind in ("cycle", "clique"):
+        try:
+            size = int(rest)
+        except ValueError:
+            raise ValueError(
+                f"{option} {spec!r}: expected an integer after '{kind}:', got {rest!r}"
+            ) from None
+        make = hypergraph.tight_cycle if kind == "cycle" else hypergraph.complete
+        return make(3, size)
+    raise ValueError(f"{option}: expected cycle:S, clique:N or file:PATH, got {spec!r}")
 
 
 def _cmd_hom(args) -> int:
-    F = _parse_hypergraph_spec(args.source)
-    G = _parse_hypergraph_spec(args.target)
+    F = _parse_hypergraph_spec("--from", args.source)
+    G = _parse_hypergraph_spec("--to", args.target)
     phi = homomorphism.exists_homomorphism(F, G)
     if phi is None:
         sys.stdout.write("NONE\n")

@@ -27,9 +27,10 @@ its witness or None, and every spectrum is read off that map.
 The independence number comes from one bitmask branch and bound for
 every k: choosing the vertex v blocks the open w of each edge in which w
 is the largest vertex, v the second largest and the rest already chosen,
-and the blocked masks come from rows cached per chosen vertex.  Its
-bound is Östergård's Russian doll: the independence numbers of the
-vertex suffixes, solved from the last vertex back.
+and each node keeps these blocked masks as conflict rows built from rows
+cached per chosen vertex.  Its bounds are Östergård's Russian doll (the
+independence numbers of the vertex suffixes, solved from the last vertex
+back) and a greedy clique cover of the conflict graph on the open pool.
 
 The text format understood by :func:`from_text` / :func:`to_text`:
 optional ``#`` comment lines, then a ``k n`` header line, then one edge
@@ -255,32 +256,6 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def is_independent(H: Hypergraph, vertices: Iterable[int]) -> bool:
-    """True iff no edge of H lies entirely inside the given vertex set."""
-    S = set(vertices)
-    for v in S:
-        if not 0 <= v < H.n:
-            raise ValueError(f"vertex {v} outside [0, {H.n})")
-    if len(S) < H.k:
-        return True
-    return not any(S.issuperset(e) for e in H.edges)
-
-
-def independence_greedy(H: Hypergraph) -> tuple[int, ...]:
-    """Greedy independent set: scan vertices in ascending order, skip any
-    vertex that would complete an edge inside the chosen set."""
-    chosen: set[int] = set()
-    incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(H.n)}
-    for e in H.edges:
-        for v in e:
-            incident[v].append(e)
-    for v in range(H.n):
-        if any(all(u in chosen for u in e if u != v) for e in incident[v]):
-            continue
-        chosen.add(v)
-    return tuple(sorted(chosen))
-
-
 def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
     """Exact maximum independent set size via a Russian-doll branch and bound.
 
@@ -290,21 +265,36 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
     open w iff some edge has w as its largest vertex, v as its second
     largest, and all its other vertices chosen.  Each edge is filed under
     its third-largest vertex a with the mask of its vertices below a; when
-    a is chosen it pushes a row, ``row[v]`` being the mask of the w of its
-    filed edges whose lower vertices are all chosen.  Those lower vertices
-    are decided before a and stay fixed while a is chosen, so the row is
-    cached on the chosen part of the mask of lower vertices a's edges name:
-    at k=3 that part is empty and each vertex has one fixed row.  At k=2 an
-    edge blocks its larger vertex once its smaller one is chosen, so the
-    edges form one base row that is always in force.
+    a is chosen it contributes a row, ``row[v]`` being the mask of the w of
+    its filed edges whose lower vertices are all chosen.  Those lower
+    vertices are decided before a and stay fixed while a is chosen, so the
+    row is cached on the chosen part of the mask of lower vertices a's
+    edges name: at k=3 that part is empty and each vertex has one fixed
+    row.  At k=2 an edge blocks its larger vertex once its smaller one is
+    chosen, so the edges form one base row that is always in force.
+
+    Each node keeps the conflict rows ``conf``, the union of the base row
+    and the rows of its chosen vertices: ``conf[x]`` is the mask of the
+    w > x that cannot join x, given the chosen set, because some edge
+    consists of x, w and chosen vertices.  A child ORs the row of its
+    branch vertex into its parent's list, and the vertices blocked by
+    choosing v are just ``conf[v]``.
 
     The bound is Östergård's (2002): c[i] is alpha of the labels i..n-1,
     solved from n-1 down.  Suffix i only asks for a set containing i that
     beats c[i+1], which is the most it can do since c[i] <= c[i+1] + 1, and
-    it stops at the first one.  A node with d chosen vertices and lowest
-    open label v is pruned when d + c[v] or d + |pool| is at most the best.
-    Instances above ``cap`` vertices are refused since the search is
-    worst-case exponential.
+    it stops at the first one.  On top of it each node covers its open
+    pool by greedy cliques of the conflict graph (the MCQ/BBMC colouring
+    bound of Tomita and of San Segundo): a class starts at the lowest
+    uncovered vertex and keeps adding the lowest uncovered vertex in the
+    ``conf`` of every member so far.  Upward adjacency is enough, since a
+    member is in the ``conf`` of each earlier, lower member, so every two
+    members conflict.  An independent extension holds at most one vertex
+    of a class, and inside the pool's suffix from v only the classes whose
+    largest member is at least v can contribute.  A node with d chosen
+    vertices and lowest open label v is pruned when d + c[v] or d plus the
+    number of those classes is at most the best.  Instances above ``cap``
+    vertices are refused since the search is worst-case exponential.
     """
     n = H.n
     if n > cap:
@@ -326,25 +316,32 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
         filed[a].append((below, v, w))
         mention[a] |= below
     cache: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    rows = [base]
     c = [0] * n
     best = 0
 
-    def grow(pool: int, chosen: int, depth: int) -> bool:
+    def grow(pool: int, chosen: int, depth: int, conf: list[int]) -> bool:
         """Look for an independent set of size best+1; True once found."""
         nonlocal best
         if depth > best:
             best = depth
             return True
         room = best - depth
+        tops = 0  # the largest member of each greedy clique class
+        left = pool
+        while left:
+            low = left & -left
+            left ^= low
+            cand = conf[low.bit_length() - 1] & left
+            while cand:
+                low = cand & -cand
+                left ^= low
+                cand &= conf[low.bit_length() - 1]
+            tops |= low
         while pool:
             v = (pool & -pool).bit_length() - 1
-            if c[v] <= room or pool.bit_count() <= room:
+            if c[v] <= room or (tops >> v).bit_count() <= room:
                 return False
             pool ^= 1 << v
-            blocked = 0
-            for row in rows:
-                blocked |= row[v]
             chosen_v = chosen | 1 << v
             key = chosen_v & mention[v]
             row = cache[v].get(key)
@@ -353,16 +350,14 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
                 for below, x, w in filed[v]:
                     if below & key == below:
                         row[x] |= 1 << w
-            rows.append(row)
-            found = grow(pool & ~blocked, chosen_v, depth + 1)
-            rows.pop()
-            if found:
+            if grow(pool & ~conf[v], chosen_v, depth + 1,
+                    [a | b for a, b in zip(conf, row)]):
                 return True
         return False
 
     for i in range(n - 1, -1, -1):
         c[i] = best + 1  # the most suffix i can reach, so its root is searched
-        grow(-1 << i & ((1 << n) - 1), 0, 0)
+        grow(-1 << i & ((1 << n) - 1), 0, 0, base)
         c[i] = best
     return best
 

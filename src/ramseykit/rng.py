@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import MutableSequence
 
 MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -95,7 +96,20 @@ class SplitMix64:
 
         The draws depend only on len(items), so any mutable sequence of
         the same length (a list, an ``array``) gets the same permutation.
+        Each draw is ``next_below(i + 1)`` with the generator step and the
+        finalizer inlined: a word below 2**64 - (i + 1) is always under the
+        rejection limit, so the exact limit is computed only above it.
         """
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+            m = i + 1
+            while True:
+                state = (state + _GAMMA) & MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+                z ^= z >> 31
+                if z < _TWO64 - m or z < _TWO64 - _TWO64 % m:
+                    break
+            j = z % m
             items[i], items[j] = items[j], items[i]
+        self.state = state

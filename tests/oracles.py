@@ -94,6 +94,32 @@ def brute_periods(H: Hypergraph) -> frozenset[int]:
     return frozenset(g for g in gcds if g)
 
 
+def is_independent(H: Hypergraph, vertices) -> bool:
+    """True iff no edge of H lies entirely inside the given vertex set."""
+    S = set(vertices)
+    for v in S:
+        if not 0 <= v < H.n:
+            raise ValueError(f"vertex {v} outside [0, {H.n})")
+    if len(S) < H.k:
+        return True
+    return not any(S.issuperset(e) for e in H.edges)
+
+
+def independence_greedy(H: Hypergraph) -> tuple[int, ...]:
+    """Greedy independent set: scan vertices in ascending order, skip any
+    vertex that would complete an edge inside the chosen set."""
+    chosen: set[int] = set()
+    incident: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(H.n)}
+    for e in H.edges:
+        for v in e:
+            incident[v].append(e)
+    for v in range(H.n):
+        if any(all(u in chosen for u in e if u != v) for e in incident[v]):
+            continue
+        chosen.add(v)
+    return tuple(sorted(chosen))
+
+
 def brute_alpha(H: Hypergraph) -> int:
     for size in range(H.n, 0, -1):
         for subset in itertools.combinations(range(H.n), size):
@@ -165,6 +191,14 @@ def brute_matching_size(P) -> int:
         return False
 
     return sum(1 for x in range(P.p) if augment(x, set()))
+
+
+def shuffle_by_next_below(rng: SplitMix64, items) -> None:
+    """Fisher-Yates from the last index down, one ``next_below`` per draw;
+    the oracle for the inlined ``SplitMix64.shuffle``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def steiner_packing_by_pair(t: int, seed: int) -> tuple[tuple[int, int, int], ...]:

@@ -63,6 +63,19 @@ def test_construct_small_k_is_usage_error(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n,k", [(2, 4), (0, 3), (-1, 3)])
+def test_construct_small_n_is_usage_error(tmp_path, capsys, n, k):
+    out = tmp_path / "h.txt"
+    assert run_cli("construct", "--n", str(n), "--k", str(k), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ramseykit: --n {n} must be at least {k - 1}, one less than --k {k}: "
+        "a source edge has k-1 vertices\n"
+    )
+    assert not out.exists()
+
+
 def test_check_cycles_pass(tmp_path, capsys):
     path = tmp_path / "h.txt"
     run_cli("construct", "--n", "20", "--seed", "1", "--out", str(path))
@@ -356,6 +369,21 @@ def test_hom_file_source(tmp_path, capsys):
 def test_hom_bad_spec_usage_error(capsys):
     assert run_cli("hom", "--from", "square:4", "--to", "clique:4") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "source,target,message",
+    [
+        ("cycle:x", "clique:3", "--from 'cycle:x': expected an integer after 'cycle:', got 'x'"),
+        ("cycle:5", "clique:", "--to 'clique:': expected an integer after 'clique:', got ''"),
+        ("cycle:5", "cube:3", "--to: expected cycle:S, clique:N or file:PATH, got 'cube:3'"),
+    ],
+)
+def test_hom_bad_spec_names_option(capsys, source, target, message):
+    assert run_cli("hom", "--from", source, "--to", target) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ramseykit: {message}\n"
 
 
 def test_poset_row(capsys):

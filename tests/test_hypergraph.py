@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from oracles import (
     brute_has_tight_cycle,
     brute_periods,
     brute_spectrum,
+    independence_greedy,
+    is_independent,
     random_hypergraph,
     reference_hosts,
 )
@@ -19,15 +22,13 @@ from ramseykit.hypergraph import (
     cycle_spectrum,
     find_tight_cycle,
     from_text,
-    independence_greedy,
     independence_number_exact,
-    is_independent,
     load,
     save,
     tight_cycle,
     to_text,
 )
-from ramseykit.rng import derive_seed
+from ramseykit.rng import SplitMix64, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,73 @@ def test_exact_alpha_on_lifts_matches_frozen_digest():
             lines.append(f"{k} {n} {i} {independence_number_exact(H)}")
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == LIFT_ALPHA_DIGEST
+
+
+def multipartite_union(components: list[list[int]], seed: int) -> Hypergraph:
+    """Disjoint union of complete multipartite graphs (k=2), one per list of
+    part sizes, with the vertex labels shuffled; alpha is the sum of the
+    largest parts, and a component of singleton parts is a clique."""
+    labels = list(range(sum(map(sum, components))))
+    SplitMix64(seed).shuffle(labels)
+    edges = []
+    start = 0
+    for sizes in components:
+        parts = []
+        for size in sizes:
+            parts.append(labels[start:start + size])
+            start += size
+        for a, b in itertools.combinations(parts, 2):
+            edges.extend((u, w) for u in a for w in b)
+    return Hypergraph(2, len(labels), edges)
+
+
+def random_sizes(rng: SplitMix64, total: int, most: int) -> list[int]:
+    """Sizes in 1..most summing to total."""
+    sizes = []
+    while total:
+        sizes.append(min(total, 1 + rng.next_below(most)))
+        total -= sizes[-1]
+    return sizes
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_alpha_on_disjoint_cliques(seed):
+    # past brute-force reach: alpha is the number of cliques
+    rng = SplitMix64(seed)
+    cliques = random_sizes(rng, 30 + rng.next_below(11), 9)
+    H = multipartite_union([[1] * size for size in cliques], seed)
+    assert independence_number_exact(H) == len(cliques)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_alpha_on_complete_multipartite(seed):
+    # alpha is the largest part, alone or summed over a disjoint union
+    rng = SplitMix64(seed)
+    parts = random_sizes(rng, 30 + rng.next_below(11), 9)
+    assert independence_number_exact(multipartite_union([parts], seed)) == max(parts)
+    components = [random_sizes(rng, 6 + rng.next_below(7), 4) for _ in range(4)]
+    H = multipartite_union(components, seed)
+    assert independence_number_exact(H) == sum(map(max, components))
+
+
+def test_exact_alpha_search_nodes_on_reference_lift():
+    # the clique-cover bound cut the k=3 n=64 reference lift from 290,690
+    # search nodes (suffix bound and pool size only) to 23,402
+    H = build_h3(sample_graph(2, 64, derive_seed(0, 64, 0)))
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "grow":
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        alpha = independence_number_exact(H)
+    finally:
+        sys.setprofile(None)
+    assert alpha == 15
+    assert nodes <= 60_000
 
 
 def test_exact_alpha_size_cap():

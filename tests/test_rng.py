@@ -1,8 +1,10 @@
 import itertools
+import math
 from array import array
 
 import pytest
 
+from oracles import shuffle_by_next_below
 from ramseykit.rng import MASK64, SplitMix64, check_seed, derive_seed, mix64
 
 # first outputs of the reference stream for seed 0, from the published
@@ -74,6 +76,45 @@ def test_shuffle_matches_manual_fisher_yates():
         replay[i], replay[j] = replay[j], replay[i]
     assert items == replay
     assert sorted(items) == list(range(20))
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 100, math.comb(51, 3)])
+def test_shuffle_matches_next_below_oracle(length):
+    for seed in (0, 1, 99, MASK64):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        got = array("i", range(length))
+        want = array("i", range(length))
+        fast.shuffle(got)
+        shuffle_by_next_below(slow, want)
+        assert got == want, seed
+        assert fast.state == slow.state, seed
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+
+
+@pytest.mark.parametrize("word", [MASK64, MASK64 - 4])
+def test_shuffle_rejection_matches_next_below_oracle(word):
+    # a seed whose first word is `word`: 2**64 % 7 == 2, so the first draw
+    # (from range(7)) rejects MASK64 and keeps MASK64 - 4, both words in
+    # the top range where the exact limit is computed
+    seed = (_unmix64(word) - 0x9E3779B97F4A7C15) & MASK64
+    assert SplitMix64(seed).next_u64() == word
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    got, want = list(range(7)), list(range(7))
+    fast.shuffle(got)
+    shuffle_by_next_below(slow, want)
+    assert got == want and fast.state == slow.state
 
 
 def test_shuffle_permutation_ignores_item_type():
