@@ -203,7 +203,10 @@ def _parse_hypergraph_spec(option: str, spec: str) -> hypergraph.Hypergraph:
                 f"{option} {spec!r}: expected an integer after '{kind}:', got {rest!r}"
             ) from None
         make = hypergraph.tight_cycle if kind == "cycle" else hypergraph.complete
-        return make(3, size)
+        try:
+            return make(3, size)
+        except ValueError as err:
+            raise ValueError(f"{option} {spec!r}: {err}") from None
     raise ValueError(f"{option}: expected cycle:S, clique:N or file:PATH, got {spec!r}")
 
 

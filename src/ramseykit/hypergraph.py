@@ -30,7 +30,8 @@ is the largest vertex, v the second largest and the rest already chosen,
 and each node keeps these blocked masks as conflict rows built from rows
 cached per chosen vertex.  Its bounds are Östergård's Russian doll (the
 independence numbers of the vertex suffixes, solved from the last vertex
-back) and a greedy clique cover of the conflict graph on the open pool.
+back) and a greedy clique cover of the conflict graph on the open pool,
+both read for a child in its parent before the child is built.
 
 The text format understood by :func:`from_text` / :func:`to_text`:
 optional ``#`` comment lines, then a ``k n`` header line, then one edge
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import or_
 from typing import Iterable, Optional
 
 
@@ -293,8 +295,20 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
     of a class, and inside the pool's suffix from v only the classes whose
     largest member is at least v can contribute.  A node with d chosen
     vertices and lowest open label v is pruned when d + c[v] or d plus the
-    number of those classes is at most the best.  Instances above ``cap``
-    vertices are refused since the search is worst-case exponential.
+    number of those classes is at most the best.
+
+    A child's first check is read in its parent, before the child is
+    built.  Its pool is ``sub = pool & ~conf[v]``; the parent tests c at
+    the lowest vertex of sub and covers sub through ``conf[x] | row[x]``,
+    and only a child that passes both gets its own conflict rows and is
+    called with those classes, so it never covers its pool again.  The
+    cover stops early, as a prune, once the classes found plus the
+    vertices left uncovered are at most what the child must beat.  A node
+    whose chosen set already ties the best improves on it with any open
+    vertex, so it raises the best itself instead of building a child.
+    None of this changes the branching order, the classes or the answer.
+    Instances above ``cap`` vertices are refused since the search is
+    worst-case exponential.
     """
     n = H.n
     if n > cap:
@@ -319,24 +333,40 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
     c = [0] * n
     best = 0
 
-    def grow(pool: int, chosen: int, depth: int, conf: list[int]) -> bool:
-        """Look for an independent set of size best+1; True once found."""
-        nonlocal best
-        if depth > best:
-            best = depth
-            return True
-        room = best - depth
-        tops = 0  # the largest member of each greedy clique class
+    def cover(pool: int, conf: list[int], row: list[int], room: int) -> int:
+        """The class tops of pool's greedy clique cover under ``conf | row``.
+
+        Returns 0 as soon as the classes found plus the vertices still
+        uncovered are at most ``room``, since the cover can then not beat it.
+        """
+        tops = 0
         left = pool
-        while left:
+        while left.bit_count() > room:
+            if not left:
+                return tops
             low = left & -left
             left ^= low
-            cand = conf[low.bit_length() - 1] & left
+            x = low.bit_length() - 1
+            cand = (conf[x] | row[x]) & left
             while cand:
                 low = cand & -cand
                 left ^= low
-                cand &= conf[low.bit_length() - 1]
+                x = low.bit_length() - 1
+                cand &= conf[x] | row[x]
             tops |= low
+            room -= 1  # so the loop test reads classes + uncovered > room
+        return 0
+
+    def grow(pool: int, chosen: int, depth: int, conf: list[int], tops: int) -> bool:
+        """Look for an independent set of size best+1; True once found.
+
+        ``tops`` are the class tops of the pool's cover, found by the parent.
+        """
+        nonlocal best
+        room = best - depth
+        if not room:  # the pool is never empty, and any open vertex improves
+            best += 1
+            return True
         while pool:
             v = (pool & -pool).bit_length() - 1
             if c[v] <= room or (tops >> v).bit_count() <= room:
@@ -350,14 +380,22 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
                 for below, x, w in filed[v]:
                     if below & key == below:
                         row[x] |= 1 << w
-            if grow(pool & ~conf[v], chosen_v, depth + 1,
-                    [a | b for a, b in zip(conf, row)]):
+            sub = pool & ~conf[v]
+            if not sub or c[(sub & -sub).bit_length() - 1] < room:
+                continue
+            sub_tops = cover(sub, conf, row, room - 1)
+            if sub_tops and grow(sub, chosen_v, depth + 1,
+                                 list(map(or_, conf, row)), sub_tops):
                 return True
         return False
 
+    no_row = [0] * n
     for i in range(n - 1, -1, -1):
         c[i] = best + 1  # the most suffix i can reach, so its root is searched
-        grow(-1 << i & ((1 << n) - 1), 0, 0, base)
+        pool = -1 << i & ((1 << n) - 1)
+        tops = cover(pool, base, no_row, best)
+        if tops:
+            grow(pool, 0, 0, base, tops)
         c[i] = best
     return best
 

@@ -192,6 +192,19 @@ def test_alpha_csv_matches_library(tmp_path, capsys):
     assert out.read_text() == expect
 
 
+# SHA-256 of the stdout of alpha --n-values 16,32,48 --seeds-per-n 2 --seed 0,
+# frozen before the independence search bounded children in their parent
+ALPHA_GRID_DIGEST = "5dd752c8678f554597651c5ae751d066864725c0568cb43f83a9d3e6a265fa1b"
+
+
+def test_alpha_grid_stdout_matches_frozen_digest(capsys):
+    assert run_cli(
+        "alpha", "--n-values", "16,32,48", "--seeds-per-n", "2", "--seed", "0",
+    ) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ALPHA_GRID_DIGEST
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -377,6 +390,8 @@ def test_hom_bad_spec_usage_error(capsys):
         ("cycle:x", "clique:3", "--from 'cycle:x': expected an integer after 'cycle:', got 'x'"),
         ("cycle:5", "clique:", "--to 'clique:': expected an integer after 'clique:', got ''"),
         ("cycle:5", "cube:3", "--to: expected cycle:S, clique:N or file:PATH, got 'cube:3'"),
+        ("cycle:2", "clique:4", "--from 'cycle:2': cycle length 2 is below the uniformity 3"),
+        ("cycle:5", "clique:-1", "--to 'clique:-1': vertex count must be nonnegative, got -1"),
     ],
 )
 def test_hom_bad_spec_names_option(capsys, source, target, message):
