@@ -194,7 +194,10 @@ def _cmd_game_verify(args) -> int:
 def _parse_hypergraph_spec(option: str, spec: str) -> hypergraph.Hypergraph:
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        return hypergraph.load(rest)
+        try:
+            return hypergraph.load(rest)
+        except (ValueError, OSError) as err:
+            raise ValueError(f"{option} {spec!r}: {err}") from None
     if kind in ("cycle", "clique"):
         try:
             size = int(rest)
@@ -213,6 +216,11 @@ def _parse_hypergraph_spec(option: str, spec: str) -> hypergraph.Hypergraph:
 def _cmd_hom(args) -> int:
     F = _parse_hypergraph_spec("--from", args.source)
     G = _parse_hypergraph_spec("--to", args.target)
+    if F.k != G.k:  # cycle: and clique: specs are 3-uniform, so a file differs
+        option, spec = (
+            ("--to", args.target) if args.target.startswith("file:") else ("--from", args.source)
+        )
+        raise ValueError(f"{option} {spec!r}: uniformity mismatch: {F.k} vs {G.k}")
     phi = homomorphism.exists_homomorphism(F, G)
     if phi is None:
         sys.stdout.write("NONE\n")
@@ -361,12 +369,7 @@ def main(argv=None) -> int:
         args.seed = _env_seed()
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, poset.IdealCapExceeded) as err:
-        sys.stderr.write(f"ramseykit: {err}\n")
-        return 2
-    except OSError as err:
+    except (ValueError, OSError, poset.IdealCapExceeded) as err:
         sys.stderr.write(f"ramseykit: {err}\n")
         return 2
 

@@ -28,7 +28,6 @@ import itertools
 import math
 from array import array
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -50,7 +49,7 @@ def sample_graph(order: int, n: int, seed: int) -> Hypergraph:
     check_seed(seed)
     rng = SplitMix64(seed)
     edges = [e for e in itertools.combinations(range(n), order) if rng.next_bit()]
-    return Hypergraph(order, n, edges)
+    return Hypergraph._from_canonical(order, n, edges)
 
 
 def build_h3(G: Hypergraph) -> Hypergraph:
@@ -101,7 +100,7 @@ def build_hk(G: Hypergraph, k: int) -> Hypergraph:
                 low = cand & -cand
                 cand ^= low
                 edges.append(f + (low.bit_length() - 1,))
-    return Hypergraph(k, G.n, edges)
+    return Hypergraph._from_canonical(k, G.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +323,8 @@ def alpha_experiment(
         return AlphaRow(n, child, a, a / math.log2(n))
 
     if max_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_threads) as pool:
             rows = list(pool.map(run, cells))
     else:

@@ -435,7 +435,10 @@ def exhaustive_verify(
                 max_edges = sub[3]
         return leaves, max_vertices, max_red, max_edges
 
-    branches, max_vertices, max_red, max_edges = walk("", 1, 0, 0)
+    try:
+        branches, max_vertices, max_red, max_edges = walk("", 1, 0, 0)
+    finally:
+        walk = None  # break the closure's self-reference, a reference cycle
     return VerificationReport(
         t=t,
         branches=branches,

@@ -40,40 +40,38 @@ def clone_vertex(F: Hypergraph, v: int) -> Hypergraph:
     w = F.n
     new_edges = list(F.edges)
     for e in F.edges:
-        if v in e:
-            new_edges.append(tuple(sorted([w if u == v else u for u in e])))
-    return Hypergraph(F.k, F.n + 1, new_edges)
+        if v in e:  # w is the largest vertex, so it goes last
+            new_edges.append(tuple(u for u in e if u != v) + (w,))
+    return Hypergraph._from_canonical(F.k, F.n + 1, new_edges)
 
 
 def blowup(F: Hypergraph, p: int) -> Hypergraph:
     """Replace each vertex by a fiber of p clones.
 
     Original vertex u becomes the fiber {u*p, ..., u*p + p - 1}; each
-    edge turns into the p^k ways of picking one clone per fiber.
+    edge turns into the p^k ways of picking one clone per fiber.  Fibers
+    follow the order of their vertices, so each image is already ascending.
     """
     if p < 1:
         raise ValueError(f"fiber size must be positive, got {p}")
     edges = []
     for e in F.edges:
         for picks in itertools.product(range(p), repeat=F.k):
-            edges.append(tuple(sorted(u * p + i for u, i in zip(e, picks))))
-    return Hypergraph(F.k, F.n * p, edges)
+            edges.append(tuple(u * p + i for u, i in zip(e, picks)))
+    return Hypergraph._from_canonical(F.k, F.n * p, edges)
 
 
 def validate_homomorphism(F: Hypergraph, G: Hypergraph, phi) -> bool:
     """True iff phi maps every edge of F onto k distinct vertices forming
-    an edge of G."""
+    an edge of G.  Every stored edge has k distinct vertices, so an image
+    that repeats a vertex is never an edge."""
     if F.k != G.k:
         return False
     if len(phi) != F.n:
         return False
     if any(not 0 <= phi[u] < G.n for u in range(F.n)):
         return False
-    for e in F.edges:
-        image = tuple(sorted(phi[u] for u in e))
-        if len(set(image)) != F.k or image not in G._edge_set:
-            return False
-    return True
+    return all(G.has_edge(*(phi[u] for u in e)) for e in F.edges)
 
 
 def _search_order(F: Hypergraph) -> list[int]:
@@ -134,10 +132,11 @@ def exists_homomorphism(F: Hypergraph, G: Hypergraph) -> Optional[VertexMapping]
     phi: dict[int, int] = {}
     load = Counter()
 
+    has_edge = G.has_edge
+
     def feasible(i: int) -> bool:
         for e in check_at[i]:
-            image = tuple(sorted(phi[u] for u in e))
-            if len(set(image)) != F.k or image not in G._edge_set:
+            if not has_edge(*[phi[u] for u in e]):
                 return False
         return True
 
@@ -154,9 +153,12 @@ def exists_homomorphism(F: Hypergraph, G: Hypergraph) -> Optional[VertexMapping]
             del phi[u]
         return False
 
-    if extend(0):
-        return tuple(phi[u] for u in range(F.n))
-    return None
+    try:
+        if extend(0):
+            return tuple(phi[u] for u in range(F.n))
+        return None
+    finally:
+        extend = None  # break the closure's self-reference, a reference cycle
 
 
 def embeds_in_blowup(

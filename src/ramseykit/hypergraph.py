@@ -33,6 +33,16 @@ independence numbers of the vertex suffixes, solved from the last vertex
 back) and a greedy clique cover of the conflict graph on the open pool,
 both read for a child in its parent before the child is built.
 
+Each input is checked once.  ``Hypergraph(k, n, edges)`` sorts and
+checks every edge it is given and drops repeats.  The package's own
+builders (``complete``, the random source and lift in ``construction``,
+``blowup`` and ``clone_vertex`` in ``homomorphism``) emit distinct
+ascending k-tuples inside range(n) by construction and hand them
+straight to storage, which checks only k >= 2 and n >= 0.  So does
+:func:`from_text`, after checking each line itself.  :func:`tight_cycle`
+takes the checked path, because its windows are unsorted and collapse
+into one edge at s = k.
+
 The text format understood by :func:`from_text` / :func:`to_text`:
 optional ``#`` comment lines, then a ``k n`` header line, then one edge
 per line as k ascending space-separated 0-based vertex ids.  Writers emit
@@ -49,26 +59,36 @@ from typing import Iterable, Optional
 
 
 class Hypergraph:
-    """Immutable k-uniform hypergraph on vertex set range(n)."""
+    """Immutable k-uniform hypergraph on vertex set range(n).
+
+    The constructor takes edges in any vertex order, with repeats, and
+    checks each one; ``_from_canonical`` is the package's unchecked way in
+    for edges its builders and :func:`from_text` already guarantee.  Both
+    end in ``_store``, which checks k and n and sorts the edges.
+    """
 
     __slots__ = ("k", "n", "edges", "_edge_set", "_completions_cache", "_periods_cache")
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
+        self._store(k, n, _checked_edges(k, n, edges))
+
+    @classmethod
+    def _from_canonical(cls, k: int, n: int, edges: Iterable[tuple[int, ...]]) -> Hypergraph:
+        """The package's way in for edges known to be distinct ascending k-tuples in range(n)."""
+        H = cls.__new__(cls)
+        H._store(k, n, edges)
+        return H
+
+    def _store(self, k: int, n: int, edges: Iterable[tuple[int, ...]]) -> None:
+        # edges is read only after the k and n checks, so those come first
+        # on the checked path too
         if k < 2:
             raise ValueError(f"uniformity must be at least 2, got {k}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        normalized = set()
-        for raw in edges:
-            e = tuple(sorted(raw))
-            if len(e) != k or len(set(e)) != k:
-                raise ValueError(f"edge {e} does not have {k} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} has a vertex outside [0, {n})")
-            normalized.add(e)
         self.k = k
         self.n = n
-        self.edges = tuple(sorted(normalized))
+        self.edges = tuple(sorted(edges))
         self._edge_set = frozenset(self.edges)
         self._completions_cache = None
         self._periods_cache = None
@@ -122,9 +142,23 @@ class Hypergraph:
         return self._periods_cache
 
 
+def _checked_edges(k: int, n: int, edges: Iterable[Iterable[int]]):
+    """Yield each distinct edge once as an ascending tuple, checked against k and n."""
+    seen = set()
+    for raw in edges:
+        e = tuple(sorted(raw))
+        if len(e) != k or len(set(e)) != k:
+            raise ValueError(f"edge {e} does not have {k} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e} has a vertex outside [0, {n})")
+        if e not in seen:
+            seen.add(e)
+            yield e
+
+
 def complete(k: int, n: int) -> Hypergraph:
     """The complete k-graph on n vertices: all C(n, k) possible edges."""
-    return Hypergraph(k, n, itertools.combinations(range(n), k))
+    return Hypergraph._from_canonical(k, n, itertools.combinations(range(n), k))
 
 
 def tight_cycle(k: int, s: int) -> Hypergraph:
@@ -247,15 +281,18 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
                     return True
         return False
 
-    for first_window in H.edges:
-        anchor = first_window[0]
-        for perm in itertools.permutations(first_window[1:]):
-            path[0] = anchor
-            path[1: k] = perm
-            visited = (2 << anchor) - 1 | sum(1 << v for v in perm)
-            if extend(k, visited):
-                return tuple(path)
-    return None
+    try:
+        for first_window in H.edges:
+            anchor = first_window[0]
+            for perm in itertools.permutations(first_window[1:]):
+                path[0] = anchor
+                path[1: k] = perm
+                visited = (2 << anchor) - 1 | sum(1 << v for v in perm)
+                if extend(k, visited):
+                    return tuple(path)
+        return None
+    finally:
+        extend = None  # break the closure's self-reference, a reference cycle
 
 
 def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
@@ -390,14 +427,17 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
         return False
 
     no_row = [0] * n
-    for i in range(n - 1, -1, -1):
-        c[i] = best + 1  # the most suffix i can reach, so its root is searched
-        pool = -1 << i & ((1 << n) - 1)
-        tops = cover(pool, base, no_row, best)
-        if tops:
-            grow(pool, 0, 0, base, tops)
-        c[i] = best
-    return best
+    try:
+        for i in range(n - 1, -1, -1):
+            c[i] = best + 1  # the most suffix i can reach, so its root is searched
+            pool = -1 << i & ((1 << n) - 1)
+            tops = cover(pool, base, no_row, best)
+            if tops:
+                grow(pool, 0, 0, base, tops)
+            c[i] = best
+        return best
+    finally:
+        grow = None  # break the closure's self-reference, a reference cycle
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +482,7 @@ def from_text(text: str) -> Hypergraph:
         edges.append(e)
     if k is None:
         raise ValueError("missing 'k n' header line")
-    return Hypergraph(k, n, edges)
+    return Hypergraph._from_canonical(k, n, edges)
 
 
 def save(H: Hypergraph, path, comment: str | None = None) -> None:

@@ -392,9 +392,18 @@ def test_hom_bad_spec_usage_error(capsys):
         ("cycle:5", "cube:3", "--to: expected cycle:S, clique:N or file:PATH, got 'cube:3'"),
         ("cycle:2", "clique:4", "--from 'cycle:2': cycle length 2 is below the uniformity 3"),
         ("cycle:5", "clique:-1", "--to 'clique:-1': vertex count must be nonnegative, got -1"),
+        ("file:bad.txt", "clique:4", "--from 'file:bad.txt': line 2: expected 3 vertices, got 2"),
+        ("cycle:5", "file:bad.txt", "--to 'file:bad.txt': line 2: expected 3 vertices, got 2"),
+        ("file:none.txt", "clique:4",
+         "--from 'file:none.txt': [Errno 2] No such file or directory: 'none.txt'"),
+        ("file:k4.txt", "clique:4", "--from 'file:k4.txt': uniformity mismatch: 4 vs 3"),
+        ("cycle:5", "file:k4.txt", "--to 'file:k4.txt': uniformity mismatch: 3 vs 4"),
     ],
 )
-def test_hom_bad_spec_names_option(capsys, source, target, message):
+def test_hom_bad_spec_names_option(capsys, tmp_path, monkeypatch, source, target, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("3 5\n0 1\n", encoding="utf-8")
+    (tmp_path / "k4.txt").write_text("4 5\n0 1 2 3\n", encoding="utf-8")
     assert run_cli("hom", "--from", source, "--to", target) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -286,6 +287,18 @@ def test_exhaustive_t4_exact_and_memo_agrees():
     assert raw.branches == memo.branches == 1542
     assert (raw.max_vertices, raw.max_red, raw.max_edges) == (9, 11, 17)
     assert (memo.max_vertices, memo.max_red, memo.max_edges) == (9, 11, 17)
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_exhaustive_leaves_no_reference_cycle(memoize):
+    # the search frees its state on return
+    gc.disable()
+    try:
+        gc.collect()
+        exhaustive_verify(4, memoize=memoize)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_t3_memo_agrees():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from oracles import brute_homomorphism, random_hypergraph
@@ -163,3 +165,16 @@ def test_embeds_in_blowup_identity_case():
     got = embeds_in_blowup(C, C)
     assert got is not None
     assert got[0] == 1  # injective placement exists
+
+
+def test_search_leaves_no_reference_cycle():
+    # the backtracking search frees its state on return
+    pairs = [(tight_cycle(3, 6), complete(3, 4)), (tight_cycle(3, 7), complete(3, 4))]
+    gc.disable()
+    try:
+        gc.collect()
+        for F, G in pairs:
+            exists_homomorphism(F, G)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

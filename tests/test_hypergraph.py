@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import sys
@@ -15,6 +16,7 @@ from oracles import (
     reference_hosts,
 )
 from ramseykit.construction import build_h3, build_hk, mod_spectrum_report, sample_graph
+from ramseykit.homomorphism import blowup, clone_vertex
 from ramseykit.hypergraph import (
     Hypergraph,
     complete,
@@ -357,6 +359,23 @@ def test_exact_alpha_search_nodes_on_reference_lift():
     assert nodes <= 6_000
 
 
+@pytest.mark.parametrize("search", ["alpha", "cycles"])
+def test_search_leaves_no_reference_cycle(search):
+    # each search frees its state on return, not at the next cyclic collection
+    H = build_h3(sample_graph(2, 64, derive_seed(0, 64, 0)))
+    host = reference_hosts()[0]
+    gc.disable()
+    try:
+        gc.collect()
+        if search == "alpha":
+            independence_number_exact(H)
+        else:
+            cycle_spectrum(host, 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_exact_alpha_size_cap():
     H = complete(3, 70)
     with pytest.raises(ValueError, match="too large"):
@@ -401,3 +420,74 @@ def test_text_parses_comments_and_blank_lines():
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# storage path: the package's builders and from_text skip the edge checks
+
+
+def _sources(k: int, n: int) -> list[Hypergraph]:
+    """Edgeless, complete and random k-graphs on n vertices."""
+    return [Hypergraph(k, n), complete(k, n), random_hypergraph(k, n, 10 * n + k)]
+
+
+def _stored_canonically(H: Hypergraph) -> bool:
+    checked = Hypergraph(H.k, H.n, H.edges)
+    return (
+        H == checked
+        and all(a < b for a, b in zip(H.edges, H.edges[1:]))
+        and all(
+            type(e) is tuple and len(e) == H.k and 0 <= e[0] and e[-1] < H.n
+            and all(x < y for x, y in zip(e, e[1:]))
+            for e in H.edges
+        )
+    )
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_storage_path_builders_store_canonical_edges(k):
+    for n in (0, k - 1, k + SplitMix64(k).next_below(5)):
+        built = [complete(k, n), sample_graph(k - 1, n, n)]
+        built += [build_hk(G, k) for G in _sources(k - 1, n)]
+        for F in _sources(k, n):
+            built += [blowup(F, 2), from_text(to_text(F))]
+            built += [clone_vertex(F, n // 2)] if n else []
+        for H in built:
+            assert _stored_canonically(H), (k, n, H)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: complete(3, -1),
+        lambda: complete(1, 3),
+        lambda: sample_graph(2, -1, 0),
+        lambda: from_text("3 -1\n"),
+    ],
+)
+def test_storage_path_keeps_shape_checks(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_builders_skip_the_checked_constructor(monkeypatch, tmp_path):
+    G2, G3 = sample_graph(2, 14, 1), sample_graph(3, 9, 2)
+    F = random_hypergraph(3, 7, 3)
+    path = tmp_path / "f.txt"
+    save(F, path)
+    calls = [
+        lambda: sample_graph(2, 14, 1),
+        lambda: build_hk(G2, 3),
+        lambda: build_hk(G3, 4),
+        lambda: complete(3, 7),
+        lambda: blowup(F, 2),
+        lambda: clone_vertex(F, 3),
+        lambda: load(path),
+    ]
+    expected = [make() for make in calls]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the checked constructor was called")
+
+    monkeypatch.setattr(Hypergraph, "__init__", refuse)
+    assert [make() for make in calls] == expected
