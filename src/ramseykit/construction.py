@@ -174,9 +174,9 @@ class TriplePacking:
 def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
     """Randomized greedy triple packing with one improvement sweep.
 
-    The lexicographic ranks of all C(t, 3) triples are shuffled by the
-    seed; position i of the shuffle holds the triple of rank ranks[i],
-    and pos inverts it.  Triples are added greedily in position order
+    The C(t, 3) triples, listed lexicographically, are shuffled by the
+    seed into ``pool``, and ``pos`` maps a triple's lexicographic rank to
+    its position there.  Triples are added greedily in position order
     whenever all three pairs are still free.  A single pass then tries,
     for each chosen triple in that order, to lift it out and fit two
     leftover triples instead; profitable swaps are kept.  Only triples
@@ -188,18 +188,16 @@ def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
     if t < 3:
         raise ValueError(f"need at least 3 points, got {t}")
     check_seed(seed)
-    triples = list(itertools.combinations(range(t), 3))
-    ranks = array("i", range(len(triples)))
-    SplitMix64(seed).shuffle(ranks)
-    pos = array("i", ranks)
-    for i, r in enumerate(ranks):
-        pos[r] = i
-    pool = [triples[r] for r in ranks]
+    pool = list(itertools.combinations(range(t), 3))
+    SplitMix64(seed).shuffle(pool)
     # rank of a < b < c is head[a] - mid[b] + c, the closed-form count of
     # lexicographically smaller triples
-    n3 = math.comb(t, 3)
+    n3 = len(pool)
     head = [n3 - math.comb(t - a, 3) + math.comb(t - a - 1, 2) for a in range(t)]
     mid = [math.comb(t - b, 2) + b + 1 for b in range(t)]
+    pos = array("i", [0]) * n3
+    for i, (a, b, c) in enumerate(pool):
+        pos[head[a] - mid[b] + c] = i
 
     # bit w of cover[v] is set when the pair {v, w} is covered
     cover = [0] * t
@@ -258,22 +256,23 @@ def greedy_steiner_packing(t: int, seed: int) -> TriplePacking:
 def union_bound_threshold(n: int) -> int:
     """Least t >= 3 making the union bound go below 1.
 
-    Evaluates log C(n, t) + (t^2 / 7) * log(7/8) in log space through
-    log-gamma, so n up to 10^9 is fine.
+    Evaluates log C(n, t) + (t^2 / 7) * log(7/8) in log space, with log
+    C(n, t) kept as a running sum of log(n - i) - log(i + 1).  Log-gamma
+    differences would cancel: lgamma(n + 1) - lgamma(n - t + 1) loses
+    every digit once n reaches about 10^16, and lgamma overflows past the
+    float range.  ``math.log`` takes an int of any size, so n is unbounded.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     log78 = math.log(7.0 / 8.0)
-    t = 3
-    while True:
-        if t > n:
-            return t
-        logc = (
-            math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1)
-        )
-        if logc + (t * t / 7.0) * log78 < 0:
-            return t
+    logc = 0.0
+    t = 0
+    while t < n:
+        logc += math.log(n - t) - math.log(t + 1)
         t += 1
+        if t >= 3 and logc + (t * t / 7.0) * log78 < 0:
+            return t
+    return 3  # n = 2: C(2, 3) = 0; from n = 3 on, t = n returns above
 
 
 # ---------------------------------------------------------------------------

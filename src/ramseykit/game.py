@@ -82,11 +82,15 @@ class VerificationError(Exception):
 
 @dataclass
 class GameState:
-    """Mutable single-owner state of one game."""
+    """Mutable single-owner state of one game.
+
+    The labels describe the game: vertex v's label is its colour digits in
+    walk order, the walker's partial label included, and the exposed
+    edges are the prefix pairs the module docstring describes.
+    """
 
     t: int
     labels: list[str] = field(default_factory=list)
-    edges: list[tuple[int, int, str]] = field(default_factory=list)
     status: str = "Running"
     witness: Optional[tuple[int, ...]] = None
     # earliest vertex index per frozen label; duplicates keep the first
@@ -162,7 +166,6 @@ def insert_vertex(state: GameState, painter: PainterStrategy) -> list[dict]:
             raise ValueError(f"painter returned {color!r}, need 'R' or 'B'")
         label += color
         state.labels[v] = label
-        state.edges.append((u, v, color))
         events.append({"event": "edge", "u": u, "v": v, "color": color})
         if color == RED and _wins_red(label, by_label):
             state.status = "RedK4Minus"
@@ -175,7 +178,6 @@ def insert_vertex(state: GameState, painter: PainterStrategy) -> list[dict]:
             blues = [i for i, d in enumerate(label) if d == BLUE][: state.t - 2]
             state.witness = tuple(by_label[label[:i]] for i in blues) + (v,)
             break
-    state.labels[v] = label
     if label not in by_label:
         by_label[label] = v
     events.append({"event": "vertex", "v": v, "label": label})
@@ -185,10 +187,13 @@ def insert_vertex(state: GameState, painter: PainterStrategy) -> list[dict]:
 
 
 def game_stats(state: GameState) -> GameStats:
+    """Resources read off the labels: each digit of a label is one exposed
+    edge, painted in that colour, so red edges are the R digits and total
+    edges the sum of the label lengths."""
     return GameStats(
         vertices_used=len(state.labels),
-        red_edges=sum(1 for _, _, c in state.edges if c == RED),
-        total_edges=len(state.edges),
+        red_edges=sum(label.count(RED) for label in state.labels),
+        total_edges=sum(map(len, state.labels)),
         outcome=state.status,
     )
 
@@ -208,23 +213,17 @@ def run_game(
         raise ValueError(f"safety cap must be at least 1, got {safety_cap}")
     state = GameState(t=t)
     transcript: list[dict] = []
-    step = 0
-
-    def record(ev: dict) -> None:
-        nonlocal step
-        step += 1
-        transcript.append({"step": step, **ev})
-
     while state.running:
         if len(state.labels) >= safety_cap:
             raise SafetyCapReached(state, transcript)
         try:
-            for ev in insert_vertex(state, painter):
-                record(ev)
+            events = insert_vertex(state, painter)
         except PainterAborted:
-            record({"event": "vertex", "v": len(state.labels) - 1,
-                    "label": state.labels[-1]})
+            transcript.append({"step": len(transcript) + 1, "event": "vertex",
+                               "v": len(state.labels) - 1, "label": state.labels[-1]})
             raise GameAborted(game_stats(state), transcript) from None
+        for ev in events:
+            transcript.append({"step": len(transcript) + 1, **ev})
     return game_stats(state), transcript
 
 

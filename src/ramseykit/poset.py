@@ -143,6 +143,8 @@ def build_J(level: int, t: int, k: int, cap: int = DEFAULT_IDEAL_CAP) -> Poset:
     ideal lattice of the previous."""
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
+    if k < 3:
+        raise ValueError(f"uniformity must be at least 3, got {k}")
     if t <= k:
         raise ValueError(f"need t > k, got t={t}, k={k}")
     P = two_chains(1, t - k)
@@ -167,26 +169,19 @@ def _strict_matching(up: list[int]) -> tuple[list[int], list[int]]:
     """Maximum matching of the strict comparability bipartite graph.
 
     Lower copy x is joined to upper copy y when x < y, i.e. when bit y of
-    ``up[x]`` is set.  A greedy matching is grown to a maximum one by
-    augmenting paths (Kuhn's DFS, iterative, with the visited upper
-    copies kept in one ``seen`` mask).  Returns the upper copy matched to
-    each lower copy and the lower copy matched to each upper copy, -1
-    where unmatched.
+    ``up[x]`` is set.  Each lower copy in turn roots one search for an
+    augmenting path (Kuhn's DFS, iterative, with the visited upper copies
+    kept in one ``seen`` mask); its first step takes the lowest free upper
+    copy when there is one.  A path rematches only its root and lower
+    copies matched before, so every root starts unmatched.  Returns the
+    upper copy matched to each lower copy and the lower copy matched to
+    each upper copy, -1 where unmatched.
     """
     p = len(up)
     match_of_row = [-1] * p
     match_of_col = [-1] * p
     free = (1 << p) - 1  # upper copies not matched yet
-    for x in range(p):
-        m = up[x] & free
-        if m:
-            y = (m & -m).bit_length() - 1
-            match_of_row[x] = y
-            match_of_col[y] = x
-            free ^= 1 << y
     for root in range(p):
-        if match_of_row[root] != -1:
-            continue
         seen = 0
         rows, cols = [root], []  # the alternating path: rows[i] -> cols[i]
         while rows:
@@ -298,13 +293,6 @@ class SymbolicTower:
             return self._key() < other._key()
         if isinstance(other, (int, float)):
             return False  # symbolic always exceeds an evaluated value
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, float)):
-            return True
-        if isinstance(other, SymbolicTower):
-            return other.__lt__(self)
         return NotImplemented
 
     def __repr__(self):

@@ -257,11 +257,13 @@ def test_steiner_without_seeds_is_usage_error(tmp_path, capsys, seeds):
 
 
 def test_threshold_csv(capsys):
-    assert run_cli("threshold", "--n", "1000", "10000") == 0
+    huge = 10**310  # 311 digits, beyond the float range
+    assert run_cli("threshold", "--n", "1000", "10000", str(huge)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,threshold,threshold_over_log2n"
     assert lines[1].startswith("1000,148,")
     assert lines[2].startswith("10000,246,")
+    assert lines[3].startswith(f"{huge},36921,")
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +431,14 @@ def test_poset_antichain_witness(capsys):
     marker = "# antichain: "
     assert lines[2].startswith(marker)
     assert len(lines[2][len(marker):].split()) == width
+
+
+@pytest.mark.parametrize("k", [2, -3])
+def test_poset_small_k_is_usage_error(capsys, k):
+    assert run_cli("poset", "--k", str(k), "--t", "10", "--level", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ramseykit: uniformity must be at least 3, got {k}\n"
 
 
 def test_poset_cap_exceeded_is_refused(capsys):

@@ -243,16 +243,37 @@ def test_steiner_rejects_tiny():
 
 
 def test_threshold_is_the_least_crossing():
-    for n in (50, 400, 2000):
+    # the bound is concave in t and 0 at t = 0, so t is the least t >= 3
+    # below 0 iff it is below 0 and t - 1 is not (or t = 3); log-gamma
+    # differences cancel to nothing from n near 10^16 on
+    rng = SplitMix64(14)
+    sample = [50, 400, 2000, 10**16, 3 * 10**16, 10**18]
+    sample += [10**12 + rng.next_below(10**15 - 10**12) for _ in range(100)]
+    log78 = math.log(7 / 8)
+    for n in sample:
         t = union_bound_threshold(n)
-        log78 = math.log(7 / 8)
 
         def bound(tt):
             return math.log(math.comb(n, tt)) + (tt * tt / 7) * log78
 
-        assert bound(t) < 0
+        assert bound(t) < 0, n
         if t > 3:
-            assert bound(t - 1) >= 0
+            assert bound(t - 1) >= 0, n
+
+
+def test_threshold_beyond_the_float_range():
+    # n^t / t! exceeds C(n, t) by a factor below 1 + t^2 / n, invisible in a
+    # float here, so log C(n, t) is t log n - log t!; math.comb itself takes
+    # most of a minute at t near 37,000
+    n = 10**310
+    log78 = math.log(7 / 8)
+
+    def bound(tt):
+        return tt * math.log(n) - math.lgamma(tt + 1) + (tt * tt / 7) * log78
+
+    t = union_bound_threshold(n)
+    assert bound(t) < 0 <= bound(t - 1)
+    assert t == 36921
 
 
 def test_threshold_known_values():

@@ -69,8 +69,10 @@ def test_edges_are_exactly_the_prefix_pairs():
     for i in range(30):
         state = GameState(t=7)
         painter = random_painter(derive_seed(2, i))
+        exposed = []
         while state.running:
-            insert_vertex(state, painter)
+            exposed += [(ev["u"], ev["v"], ev["color"])
+                        for ev in insert_vertex(state, painter) if ev["event"] == "edge"]
         earliest = {}
         for v, lab in enumerate(state.labels):
             earliest.setdefault(lab, v)
@@ -78,7 +80,10 @@ def test_edges_are_exactly_the_prefix_pairs():
         for v, lab in enumerate(state.labels):
             for cut in range(len(lab)):
                 expected.add((earliest[lab[:cut]], v, lab[cut]))
-        assert set(state.edges) == expected, i
+        assert len(exposed) == len(expected) and set(exposed) == expected, i
+        stats = game_stats(state)
+        red = sum(1 for _, _, c in exposed if c == "R")
+        assert (stats.red_edges, stats.total_edges) == (red, len(exposed)), i
 
 
 def test_aggregate_resource_bounds_random():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -129,6 +130,9 @@ def test_build_J_validation():
         build_J(0, 10, 3)
     with pytest.raises(ValueError):
         build_J(2, 3, 3)
+    for k in (2, 0, -3):
+        with pytest.raises(ValueError, match=f"uniformity must be at least 3, got {k}"):
+            build_J(3, 10, k)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,19 @@ def test_width_matches_matching_oracle_on_random_posets():
         assert len(wit) == max_antichain(P), seed
         for a, b in itertools.combinations(wit, 2):
             assert not P.less(a, b) and not P.less(b, a), seed
+
+
+def test_widths_and_witnesses_on_benchmark_levels_frozen():
+    # every level-three poset the exact-certify workload builds: k = 3 for
+    # t = 8..26 and the t = 5..16 grid of larger k
+    cases = [(t, 3) for t in range(8, 27)]
+    cases += [(t, k) for t in range(5, 17) for k in range(max(4, t - 4), t)]
+    h = hashlib.sha256()
+    for t, k in cases:
+        P = build_J(3, t, k)
+        wit = ",".join(map(str, antichain_witness(P)))
+        h.update(f"{t},{k}:{max_antichain(P)}:{wit}\n".encode())
+    assert h.hexdigest() == "c1aa063741b69e9b038eb014820806b7af8729b1d0c5e0f116ac7e4cd7c14501"
 
 
 def test_antichain_witness_frozen():
@@ -236,6 +253,16 @@ def test_symbolic_tower_ordering():
     assert a == tower(4, 64)
     small = tower(1, 5)
     assert isinstance(small, int) and small < a
+    assert b > a and b >= a and a <= b and a >= a and a <= a
+    assert not (a > b) and not (a >= b) and not (b <= a) and not (a > a)
+    # an evaluated value on either side: the tower is always the larger
+    for x in (small, 10**300, 2.5):
+        assert a > x and a >= x and x < a and x <= a and a != x
+        assert not (a < x) and not (a <= x) and not (x > a) and not (x >= a)
+    with pytest.raises(TypeError):
+        a < "x"
+    with pytest.raises(TypeError):
+        "x" > a
 
 
 def test_tower_monotone_in_base():
