@@ -105,7 +105,14 @@ def _cmd_alpha(args) -> int:
     return 0
 
 
+# every seed's packing holds two C-int arrays over the C(t, 3) triples:
+# 4.46 million triples, about 36 MB, at t = 300
+_STEINER_MAX_T = 300
+
+
 def _cmd_steiner(args) -> int:
+    if not 3 <= args.t <= _STEINER_MAX_T:
+        raise ValueError(f"--t {args.t} lies outside [3, {_STEINER_MAX_T}]")
     if args.seeds < 1:
         raise ValueError(f"--seeds {args.seeds} must be at least 1")
     lines = ["t,seed,size"]
@@ -304,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_alpha, needs_seed=True)
 
     p = sub.add_parser("steiner", help="randomized greedy partial triple systems")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument(
+        "--t", type=int, required=True, help=f"points, 3 to {_STEINER_MAX_T}"
+    )
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -256,6 +256,41 @@ def test_steiner_without_seeds_is_usage_error(tmp_path, capsys, seeds):
     assert not pack.exists()
 
 
+def test_steiner_readme_example_frozen(tmp_path, capsys, monkeypatch):
+    # `steiner --t 21 --seeds 10 --packing-out best.txt` from the README,
+    # with RAMSEY_SEED unset; SHA-256 of stdout and of the file, taken
+    # from the tuple-pool implementation
+    monkeypatch.delenv("RAMSEY_SEED", raising=False)
+    pack = tmp_path / "best.txt"
+    code = run_cli("steiner", "--t", "21", "--seeds", "10", "--packing-out", str(pack))
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "433f5d6c0513d3972d84579715915bf1d949abac7b43e52ef40b475abd6825ba"
+    )
+    assert hashlib.sha256(pack.read_bytes()).hexdigest() == (
+        "3897f0f1f9285643e9b51ccacee0097aed944ee167ea55712417889329675a97"
+    )
+
+
+@pytest.mark.parametrize("t", ["301", "2"])
+def test_steiner_t_outside_range_is_usage_error(tmp_path, capsys, t):
+    pack = tmp_path / "p.txt"
+    out = tmp_path / "s.csv"
+    code = run_cli("steiner", "--t", t, "--out", str(out), "--packing-out", str(pack))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ramseykit: --t {t} lies outside [3, 300]\n"
+    assert not pack.exists() and not out.exists()
+
+
+def test_steiner_help_names_the_ceiling(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("steiner", "--help")
+    assert "points, 3 to 300" in capsys.readouterr().out
+
+
 def test_threshold_csv(capsys):
     huge = 10**310  # 311 digits, beyond the float range
     assert run_cli("threshold", "--n", "1000", "10000", str(huge)) == 0

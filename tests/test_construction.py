@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -202,7 +203,7 @@ def test_steiner_packing_deterministic():
 
 def test_steiner_packing_matches_by_pair_oracle():
     cells = [(t, seed) for t in range(3, 26) for seed in range(6)]
-    cells += [(51, seed) for seed in range(3)]
+    cells += [(51, seed) for seed in range(3)] + [(99, 0)]
     for t, seed in cells:
         expect = steiner_packing_by_pair(t, seed)
         assert greedy_steiner_packing(t, seed).triples == expect, (t, seed)
@@ -236,6 +237,24 @@ def test_steiner_packing_matches_frozen_digest(t):
 def test_steiner_rejects_tiny():
     with pytest.raises(ValueError):
         greedy_steiner_packing(2, 0)
+
+
+def test_steiner_rejects_more_triples_than_c_int_ranks():
+    # C(2345, 3) < 2**31 < C(2346, 3); refused before any array is built
+    with pytest.raises(ValueError, match="too many to rank"):
+        greedy_steiner_packing(2346, 0)
+
+
+def test_steiner_packing_builds_no_triple_pool():
+    # two C-int arrays over C(99, 3) = 156,849 ranks take 1.2 MiB; a list
+    # of all those triples as tuples would take about 12 MiB
+    tracemalloc.start()
+    try:
+        greedy_steiner_packing(99, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
