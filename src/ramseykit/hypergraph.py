@@ -20,6 +20,18 @@ length that no component period divides is therefore absent.  Every
 other length s gets its own exhaustive tight-path search, bounded at
 depth s; it stops at the first closing path, which is the witness.
 
+The search walks on an explicit stack, so a length has no recursion
+limit, and it reads a link table over bitmasks: each (k-1)-subset of an
+edge, as a vertex mask, maps to the mask of the vertices completing it.
+Its last two steps are filtered by the windows that close the cycle.
+Every window that wraps around holds the last vertex, so the closing
+vertices are the AND of those windows' links, and the lowest is the
+witness; the second last vertex must lie in the links of the last
+window's closers.  The filters drop only vertices on no closing path
+and the candidates are still taken in ascending order, so the search
+meets the closing paths in the order of the plain search and returns
+the same witness.
+
 The lengths a spectrum scans, 4 (k for k != 3) up to min(s_max, n), have
 one home, :func:`scanned_lengths`; :func:`cycle_witnesses` maps each to
 its witness or None, and every spectrum is read off that map.
@@ -67,7 +79,9 @@ class Hypergraph:
     end in ``_store``, which checks k and n and sorts the edges.
     """
 
-    __slots__ = ("k", "n", "edges", "_edge_set", "_completions_cache", "_periods_cache")
+    __slots__ = (
+        "k", "n", "edges", "_edge_set", "_completions_cache", "_links_cache", "_periods_cache",
+    )
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
         self._store(k, n, _checked_edges(k, n, edges))
@@ -91,6 +105,7 @@ class Hypergraph:
         self.edges = tuple(sorted(edges))
         self._edge_set = frozenset(self.edges)
         self._completions_cache = None
+        self._links_cache = None
         self._periods_cache = None
 
     def __len__(self) -> int:
@@ -127,6 +142,22 @@ class Hypergraph:
                     comp.setdefault(rest, []).append(e[i])
             self._completions_cache = {key: tuple(vals) for key, vals in comp.items()}
         return self._completions_cache
+
+    def _links(self) -> dict[int, int]:
+        """Map the vertex mask of each (k-1)-subset of an edge to the mask of
+        the vertices completing it: ``completions()`` over bitmasks."""
+        if self._links_cache is None:
+            links: dict[int, int] = {}
+            get = links.get
+            for e in self.edges:
+                whole = 0
+                for v in e:
+                    whole |= 1 << v
+                for v in e:
+                    bit = 1 << v
+                    links[whole ^ bit] = get(whole ^ bit, 0) | bit
+            self._links_cache = links
+        return self._links_cache
 
     def periods(self) -> frozenset[int]:
         """Periods of the strongly connected components of the tight-walk digraph.
@@ -258,41 +289,90 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     ``s`` must lie in [k+1, n].  Paths grow from an anchored first window
     (the anchor is the cycle's minimum vertex, which kills rotational
     duplicates, so the vertices up to it start out visited) through the
-    (k-1)-subset completion table, to depth s and no further; a path of
-    length s closes into a cycle when its k-1 wraparound windows are edges.
+    link table, to depth s-1 and no further, on an explicit stack.  The
+    last k-1 vertices are kept as a mask, and the candidates at a depth
+    are the unvisited bits of their link, taken lowest first: the
+    completions of a (k-1)-set in ascending order, as the edges are
+    sorted.
+
+    The last two steps are filtered by the closing windows.  Each of the
+    k-1 windows that wrap around holds v_{s-1}, so the vertices that close
+    the path are the AND of the links of those windows less v_{s-1}, and
+    the lowest of them is the witness.  The last window less v_{s-1} is
+    v_0..v_{k-2}, so v_{s-1} lies in Z = links[v_0..v_{k-2}], and a first
+    window with Z empty is skipped.  The second last is v_{s-2}, v_{s-1},
+    v_0..v_{k-3}, so v_{s-2} lies in Y, the OR of links[v_0..v_{k-3}, z]
+    over z in Z, which narrows depth s-2 when that depth is free (a first
+    window whose Y holds no unvisited vertex is skipped).  The filters
+    drop only vertices that lie on no closing path, so the order of the
+    closing paths, and with it the witness, is that of the plain search.
     """
     k = H.k
-    comp = H.completions()
-    edge_set = H._edge_set
+    get = H._links().get
+    last = s - 1
+    narrow = s - 2 if s - 2 >= k else -1
     path = [0] * s
-
-    def extend(depth: int, visited: int) -> bool:
-        """Grow the tight path; returns True once it closes at length s."""
-        if depth == s:
-            for i in range(s - k + 1, s):
-                if tuple(sorted(path[i:] + path[: k - s + i])) not in edge_set:
-                    return False
-            return True
-        suffix = tuple(sorted(path[depth - k + 1: depth]))
-        for w in comp.get(suffix, ()):
-            if not (visited >> w) & 1:
-                path[depth] = w
-                if extend(depth + 1, visited | (1 << w)):
-                    return True
-        return False
-
-    try:
-        for first_window in H.edges:
-            anchor = first_window[0]
-            for perm in itertools.permutations(first_window[1:]):
-                path[0] = anchor
-                path[1: k] = perm
-                visited = (2 << anchor) - 1 | sum(1 << v for v in perm)
-                if extend(k, visited):
-                    return tuple(path)
-        return None
-    finally:
-        extend = None  # break the closure's self-reference, a reference cycle
+    keys = [0] * s
+    cands = [0] * s
+    for first_window in H.edges:
+        anchor = first_window[0]
+        whole = 0
+        for v in first_window:
+            whole |= 1 << v
+        start = (2 << anchor) - 1 | whole  # the first window and every vertex below it
+        for perm in itertools.permutations(first_window[1:]):
+            head = whole ^ 1 << perm[-1]
+            closers = get(head, 0) & ~start
+            if not closers:
+                continue
+            visited = start
+            path[0] = anchor
+            path[1:k] = perm
+            if narrow >= 0:
+                base = head ^ 1 << path[k - 2]
+                near = 0
+                z = closers
+                while z:
+                    low = z & -z
+                    near |= get(base | low, 0)
+                    z ^= low
+                if not near & ~visited:
+                    continue
+            key = head ^ 1 << anchor | 1 << path[k - 1]
+            d = k - 1
+            while True:
+                if d + 1 == last:
+                    c = get(key, 0) & closers & ~visited
+                    # each wraparound window less v_{s-1} is the one before
+                    # it less its first vertex, plus the next from the front
+                    m = key
+                    for j in range(1, k - 1):
+                        if not c:
+                            break
+                        m ^= 1 << path[last - k + j] | 1 << path[j - 1]
+                        c &= get(m, 0)
+                    if c:
+                        path[last] = (c & -c).bit_length() - 1
+                        return tuple(path)
+                else:
+                    d += 1
+                    keys[d] = key
+                    c = get(key, 0) & ~visited
+                    cands[d] = c & near if d == narrow else c
+                # advance to the next candidate, backtracking past exhausted depths
+                while d >= k and not cands[d]:
+                    d -= 1
+                    visited ^= 1 << path[d]
+                if d < k:
+                    break
+                c = cands[d]
+                low = c & -c
+                cands[d] = c ^ low
+                if d + 1 < last:  # v_{s-2} lies in key, which its link excludes
+                    visited |= low
+                path[d] = low.bit_length() - 1
+                key = keys[d] ^ 1 << path[d - k + 1] ^ low
+    return None
 
 
 def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:

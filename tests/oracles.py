@@ -53,6 +53,51 @@ def brute_has_tight_cycle(H: Hypergraph, s: int) -> bool:
     return False
 
 
+def scan_cycles_by_tuple(H: Hypergraph, s: int) -> tuple[int, ...] | None:
+    """The tight-path search over sorted (k-1)-tuples, with every wraparound
+    window checked as an edge once the path reaches length s; the oracle
+    for ``hypergraph._scan_cycles``, which must return the same witness.
+
+    ``s`` must lie in [k+1, n].  Paths grow from an anchored first window
+    (the anchor is the cycle's minimum vertex, which kills rotational
+    duplicates, so the vertices up to it start out visited) through the
+    (k-1)-subset completion table, to depth s and no further; a path of
+    length s closes into a cycle when its k-1 wraparound windows are edges.
+    """
+    k = H.k
+    comp = H.completions()
+    edge_set = H._edge_set
+    path = [0] * s
+
+    def extend(depth: int, visited: int) -> bool:
+        """Grow the tight path; returns True once it closes at length s."""
+        if depth == s:
+            for i in range(s - k + 1, s):
+                if tuple(sorted(path[i:] + path[: k - s + i])) not in edge_set:
+                    return False
+            return True
+        suffix = tuple(sorted(path[depth - k + 1: depth]))
+        for w in comp.get(suffix, ()):
+            if not (visited >> w) & 1:
+                path[depth] = w
+                if extend(depth + 1, visited | (1 << w)):
+                    return True
+        return False
+
+    try:
+        for first_window in H.edges:
+            anchor = first_window[0]
+            for perm in itertools.permutations(first_window[1:]):
+                path[0] = anchor
+                path[1: k] = perm
+                visited = (2 << anchor) - 1 | sum(1 << v for v in perm)
+                if extend(k, visited):
+                    return tuple(path)
+        return None
+    finally:
+        extend = None  # break the closure's self-reference, a reference cycle
+
+
 def brute_spectrum(H: Hypergraph, s_max: int) -> set[int]:
     lo = 4 if H.k == 3 else H.k
     out = set()

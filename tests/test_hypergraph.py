@@ -14,7 +14,9 @@ from oracles import (
     is_independent,
     random_hypergraph,
     reference_hosts,
+    scan_cycles_by_tuple,
 )
+from ramseykit import hypergraph
 from ramseykit.construction import build_h3, build_hk, mod_spectrum_report, sample_graph
 from ramseykit.homomorphism import blowup, clone_vertex
 from ramseykit.hypergraph import (
@@ -99,6 +101,18 @@ def test_completions_index():
     assert comp[(2, 3)] == (4,)
 
 
+def test_links_index():
+    H = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+    links = H._links()
+    assert links[0b00011] == 0b01100  # {0, 1} -> {2, 3}
+    assert links[0b01100] == 0b10000  # {2, 3} -> {4}
+    assert links == {
+        sum(1 << v for v in key): sum(1 << v for v in vals)
+        for key, vals in H.completions().items()
+    }
+    assert H._links() is links
+
+
 # ---------------------------------------------------------------------------
 # tight cycle detection against the brute oracle
 
@@ -138,6 +152,87 @@ def test_witness_is_a_real_cycle():
                 window = tuple(sorted(witness[(i + j) % s] for j in range(3)))
                 assert H.has_edge(*window)
     assert found_any > 20
+
+
+def _is_tight_cycle(H, cycle) -> bool:
+    s = len(cycle)
+    return len(set(cycle)) == s and all(
+        H.has_edge(*(cycle[(i + j) % s] for j in range(H.k))) for i in range(s)
+    )
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_long_tight_cycle_is_found(k):
+    # the search walks on an explicit stack, so its depth is not capped by
+    # the interpreter's recursion limit
+    H = tight_cycle(k, 1500)
+    witness = find_tight_cycle(H, 1500)
+    assert witness is not None and witness[0] == 0
+    assert _is_tight_cycle(H, witness)
+
+
+@pytest.mark.parametrize("k,n", [(3, 8), (4, 8), (5, 8)])
+def test_scan_matches_tuple_search(k, n):
+    # witness for witness: the closing-window filters drop only vertices on
+    # no closing path, so the first closing path is the tuple search's
+    found = 0
+    for seed in range(10):
+        H = random_hypergraph(k, n, seed, eighths=2 + seed % 6)
+        for s in range(k + 1, n + 1):
+            witness = hypergraph._scan_cycles(H, s)
+            assert witness == scan_cycles_by_tuple(H, s), (k, seed, s)
+            if witness is not None:
+                assert _is_tight_cycle(H, witness)
+                found += 1
+    assert found > 5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_scan_matches_tuple_search_on_edgeless_and_complete(k):
+    for n in range(k + 1, 9):
+        for s in range(k + 1, n + 1):
+            assert hypergraph._scan_cycles(Hypergraph(k, n), s) is None
+            H = complete(k, n)
+            witness = hypergraph._scan_cycles(H, s)
+            assert witness == scan_cycles_by_tuple(H, s) == tuple(range(s))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("extra", [1, 2])
+def test_scan_matches_tuple_search_at_the_shortest_lengths(k, extra):
+    # s = k+1 closes right after the first window, with no free depth for
+    # the Y filter; at s = k+2 the Y filter narrows the first free depth
+    s = k + extra
+    outcomes = set()
+    for seed in range(24):
+        H = random_hypergraph(k, 9, seed, eighths=1 + seed % 4)
+        witness = hypergraph._scan_cycles(H, s)
+        assert witness == scan_cycles_by_tuple(H, s), (k, seed, s)
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
+def test_scan_link_reads_on_reference_hosts():
+    # the tuple search ran 106,528 frames and read its completion table
+    # 64,621 times on these 153 cells; the closing-window filters cut the
+    # link-table reads to 44,429
+    hosts = reference_hosts()
+    tables = [H._links() for H in hosts]
+    reads = 0
+
+    def count(frame, event, arg):
+        nonlocal reads
+        if event == "c_call" and getattr(arg, "__self__", None) is table:
+            reads += 1
+
+    for H, table in zip(hosts, tables):
+        sys.setprofile(count)
+        try:
+            for s in range(4, 13):
+                hypergraph._scan_cycles(H, s)
+        finally:
+            sys.setprofile(None)
+    assert reads <= 50_000
 
 
 def test_cycle_edge_cases():
