@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import construction, game, homomorphism, hypergraph, poset
-from .rng import check_seed
+from .rng import MASK64, check_seed
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -115,6 +115,11 @@ def _cmd_steiner(args) -> int:
         raise ValueError(f"--t {args.t} lies outside [3, {_STEINER_MAX_T}]")
     if args.seeds < 1:
         raise ValueError(f"--seeds {args.seeds} must be at least 1")
+    if args.seed + args.seeds - 1 > MASK64:
+        raise ValueError(
+            f"--seed {args.seed} plus --seeds {args.seeds} runs past "
+            f"the largest seed {MASK64}"
+        )
     lines = ["t,seed,size"]
     best = None
     for i in range(args.seeds):

@@ -12,15 +12,47 @@ platform and Python build.  The stream contract:
   multiple of ``n`` below 2**64, then reduces mod ``n`` (unbiased);
 * ``shuffle`` is a Fisher-Yates pass from the last index down to 1,
   swapping position ``i`` with ``next_below(i + 1)``.
+
+The stream is counter-based (Salmon et al., 2011): the state only ever
+adds the increment gamma, so the k-th word after state s (k = 1, 2, ...)
+is ``mix64(s + k * gamma mod 2**64)`` and depends on no word before it.
+``shuffle`` therefore computes up to ``_BLOCK`` words at once, each in
+its own 128-bit lane of one integer (``_block_words``).  They are the
+words successive ``next_u64`` calls return, and a block holding a word
+that ``next_below`` might reject is drawn one word at a time, so the
+permutation and the final state are those of the per-draw pass.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
 from collections.abc import MutableSequence
 
 MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
+
+# words per block of ``shuffle``: an integer of 16 KiB per temporary
+_BLOCK = 1024
+# the low halves of the 128-bit lanes among the 64-bit items of an integer's
+# native-order bytes: item 2k on a little-endian host, counted from the end
+# on a big-endian one
+_LOW = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _lanes(words: array) -> int:
+    """Pack 64-bit words into one integer, word k in 128-bit lane k."""
+    halves = array("Q", bytes(16 * len(words)))
+    halves[_LOW] = words
+    return int.from_bytes(halves.tobytes(), sys.byteorder)
+
+
+_ONE = _lanes(array("Q", [1]) * _BLOCK)
+_MASK = _lanes(array("Q", [MASK64]) * _BLOCK)
+# lane k holds (k + 1) * gamma, below 2**75: no carry between lanes
+_GAMMA_RAMP = _GAMMA * _lanes(array("Q", range(1, _BLOCK + 1)))
 
 
 def mix64(z: int) -> int:
@@ -51,6 +83,25 @@ def derive_seed(base: int, *parts: int) -> int:
     for p in parts:
         z = mix64((z ^ mix64((p * _GAMMA) & MASK64)) + _GAMMA)
     return z
+
+
+def _block_words(state: int, count: int) -> array:
+    """The next ``count`` (at most ``_BLOCK``) words after ``state``.
+
+    Lane k starts as s + (k + 1) * gamma and goes through the finalizer
+    with the whole integer at once.  Masking every lane to its low 64
+    bits after each step keeps the lanes apart: a product of two 64-bit
+    values fits its 128-bit lane, and a right shift spills only into the
+    high half of the lane below, which the mask clears.
+    """
+    keep = (1 << 128 * count) - 1
+    z = (state * (_ONE & keep) + (_GAMMA_RAMP & keep)) & _MASK
+    z = (z ^ z >> 30) & _MASK
+    z = z * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) & _MASK
+    z = z * 0x94D049BB133111EB & _MASK
+    z = (z ^ z >> 31) & _MASK
+    return array("Q", z.to_bytes(16 * count, sys.byteorder))[_LOW]
 
 
 class SplitMix64:
@@ -96,20 +147,31 @@ class SplitMix64:
 
         The draws depend only on len(items), so any mutable sequence of
         the same length (a list, an ``array``) gets the same permutation.
-        Each draw is ``next_below(i + 1)`` with the generator step and the
-        finalizer inlined: a word below 2**64 - (i + 1) is always under the
-        rejection limit, so the exact limit is computed only above it.
+        Each draw is ``next_below(i + 1)``.  The words come a block at a
+        time from ``_block_words``, the same words ``next_u64`` gives.  A
+        word below 2**64 - (i + 1) is always under the rejection limit,
+        so when every word of a block is below 2**64 minus the block's
+        largest modulus, no draw rejects and the block's indices j are
+        reduced in one ``map``.  Otherwise (a chance of about
+        ``_BLOCK`` * len(items) / 2**64) the block's draws are made one
+        at a time by ``next_below``, with the exact rejection limit.
         """
         state = self.state
-        for i in range(len(items) - 1, 0, -1):
-            m = i + 1
-            while True:
-                state = (state + _GAMMA) & MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-                z ^= z >> 31
-                if z < _TWO64 - m or z < _TWO64 - _TWO64 % m:
-                    break
-            j = z % m
-            items[i], items[j] = items[j], items[i]
+        hi = len(items) - 1
+        while hi > 0:
+            count = min(hi, _BLOCK)
+            stop = hi - count
+            words = _block_words(state, count)
+            if max(words) < _TWO64 - (hi + 1):
+                drawn = map(operator.mod, words, range(hi + 1, stop + 1, -1))
+                for i, j in zip(range(hi, stop, -1), drawn):
+                    items[i], items[j] = items[j], items[i]
+                state = (state + count * _GAMMA) & MASK64
+            else:
+                self.state = state
+                for i in range(hi, stop, -1):
+                    j = self.next_below(i + 1)
+                    items[i], items[j] = items[j], items[i]
+                state = self.state
+            hi = stop
         self.state = state

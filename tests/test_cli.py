@@ -256,6 +256,37 @@ def test_steiner_without_seeds_is_usage_error(tmp_path, capsys, seeds):
     assert not pack.exists()
 
 
+@pytest.mark.parametrize("seed, seeds", [
+    ("18446744073709551615", "2"),
+    ("18446744073709551600", "17"),
+])
+def test_steiner_seed_range_past_u64_is_usage_error(tmp_path, capsys, seed, seeds):
+    # checked before the first packing: the message names the two options
+    # as typed, not a seed past the range
+    pack = tmp_path / "p.txt"
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "steiner", "--t", "9", "--seed", seed, "--seeds", seeds,
+        "--out", str(out), "--packing-out", str(pack),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ramseykit: --seed {seed} plus --seeds {seeds} runs past "
+        "the largest seed 18446744073709551615\n"
+    )
+    assert not pack.exists() and not out.exists()
+
+
+def test_steiner_last_seed_in_range_runs(capsys):
+    assert run_cli("steiner", "--t", "9", "--seed", "18446744073709551614", "--seeds", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == [
+        "18446744073709551614", "18446744073709551615",
+    ]
+
+
 def test_steiner_readme_example_frozen(tmp_path, capsys, monkeypatch):
     # `steiner --t 21 --seeds 10 --packing-out best.txt` from the README,
     # with RAMSEY_SEED unset; SHA-256 of stdout and of the file, taken

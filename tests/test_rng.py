@@ -1,11 +1,22 @@
 import itertools
 import math
+import tracemalloc
 from array import array
 
 import pytest
 
 from oracles import shuffle_by_next_below
-from ramseykit.rng import MASK64, SplitMix64, check_seed, derive_seed, mix64
+from ramseykit.rng import (
+    _BLOCK,
+    MASK64,
+    SplitMix64,
+    _block_words,
+    check_seed,
+    derive_seed,
+    mix64,
+)
+
+GAMMA = 0x9E3779B97F4A7C15
 
 # first outputs of the reference stream for seed 0, from the published
 # generator description
@@ -78,7 +89,12 @@ def test_shuffle_matches_manual_fisher_yates():
     assert sorted(items) == list(range(20))
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 7, 100, math.comb(51, 3)])
+# _BLOCK + 1 items take one full block of draws, _BLOCK + 2 add a one-word
+# block, and C(51, 3) ends in a block of 344
+@pytest.mark.parametrize("length", [
+    0, 1, 2, 7, 100, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2,
+    2 * _BLOCK + 1, math.comb(51, 3),
+])
 def test_shuffle_matches_next_below_oracle(length):
     for seed in (0, 1, 99, MASK64):
         fast, slow = SplitMix64(seed), SplitMix64(seed)
@@ -115,6 +131,56 @@ def test_shuffle_rejection_matches_next_below_oracle(word):
     fast.shuffle(got)
     shuffle_by_next_below(slow, want)
     assert got == want and fast.state == slow.state
+
+
+@pytest.mark.parametrize("length, word, rejected", [
+    # m = 1022, 2**64 % m == 2: MASK64 is rejected, MASK64 - 4 kept
+    (2 * _BLOCK + 2, MASK64, True),
+    (2 * _BLOCK + 2, MASK64 - 4, False),
+    # m = 1026, 2**64 % m == 1024: the least rejected word, the greatest kept
+    (2 * _BLOCK + 6, 2**64 - 1024, True),
+    (2 * _BLOCK + 6, 2**64 - 1025, False),
+])
+def test_shuffle_rejection_in_second_block_matches_next_below_oracle(length, word, rejected):
+    # a seed whose word k, in the second block, is `word`, drawn from
+    # range(m); each word lies in the top range, so that block takes the
+    # per-draw path, and a rejection moves the last, short block a word on
+    k = _BLOCK + 5
+    m = length - k + 1
+    assert (word >= 2**64 - 2**64 % m) == rejected
+    seed = (_unmix64(word) - k * GAMMA) & MASK64
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(k)][-1] == word
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    got, want = array("i", range(length)), array("i", range(length))
+    fast.shuffle(got)
+    shuffle_by_next_below(slow, want)
+    assert got == want and fast.state == slow.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64])
+def test_block_words_are_the_next_u64_stream(seed):
+    # pins the lane arithmetic and the byte order: three full blocks, then
+    # a short one
+    rng = SplitMix64(seed)
+    state = seed
+    for count in (_BLOCK, _BLOCK, _BLOCK, 3):
+        words = _block_words(state, count)
+        assert list(words) == [rng.next_u64() for _ in range(count)]
+        state = (state + count * GAMMA) & MASK64
+
+
+def test_shuffle_memory_stays_within_a_block():
+    # a block of 1,024 words is a 16 KiB integer; packing all C(99, 3)
+    # draws into one would take 2.5 MB per temporary
+    items = array("i", range(math.comb(99, 3)))
+    tracemalloc.start()
+    try:
+        SplitMix64(0).shuffle(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_shuffle_permutation_ignores_item_type():
