@@ -243,8 +243,12 @@ def _cmd_hom(args) -> int:
 
 def _cmd_poset(args) -> int:
     P = poset.build_J(args.level, args.t, args.k, cap=args.cap)
+    witness = None
     if args.count_only:
         width = ""
+    elif args.antichain:  # a maximum antichain, so its size is the width
+        witness = poset.antichain_witness(P)
+        width = str(len(witness))
     else:
         width = str(poset.max_antichain(P))
     lines = [
@@ -252,8 +256,7 @@ def _cmd_poset(args) -> int:
         f"{args.k},{args.t},{args.level},{P.p},{width}",
     ]
     out = "\n".join(lines) + "\n"
-    if args.antichain and not args.count_only:
-        witness = poset.antichain_witness(P)
+    if witness is not None:
         out += "# antichain: " + " ".join(str(x) for x in witness) + "\n"
     _emit(out, args.out)
     return 0
@@ -286,6 +289,16 @@ def _comma_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if not 0 <= seed <= MASK64:
+        raise argparse.ArgumentTypeError(f"{seed} lies outside [0, {MASK64}]")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseykit",
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="lift a random graph and write the result")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_construct, needs_seed=True)
 
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="exact independence numbers of random lifts")
     p.add_argument("--n-values", type=_comma_ints, default=[16, 32, 64])
     p.add_argument("--seeds-per-n", type=int, default=30)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--cap", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_alpha, needs_seed=True)
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--t", type=int, required=True, help=f"points, 3 to {_STEINER_MAX_T}"
     )
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--packing-out", default=None)
     p.set_defaults(func=_cmd_steiner, needs_seed=True)
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all-red", "all-blue", "random", "greedy", "interactive"],
         required=True,
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--p-red", type=float, default=0.5)
     p.add_argument("--safety-cap", type=int, default=10000)
     p.add_argument("--transcript", default=None)

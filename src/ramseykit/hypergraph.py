@@ -20,17 +20,17 @@ length that no component period divides is therefore absent.  Every
 other length s gets its own exhaustive tight-path search, bounded at
 depth s; it stops at the first closing path, which is the witness.
 
-The search walks on an explicit stack, so a length has no recursion
-limit, and it reads a link table over bitmasks: each (k-1)-subset of an
-edge, as a vertex mask, maps to the mask of the vertices completing it.
-Its last two steps are filtered by the windows that close the cycle.
-Every window that wraps around holds the last vertex, so the closing
-vertices are the AND of those windows' links, and the lowest is the
-witness; the second last vertex must lie in the links of the last
-window's closers.  The filters drop only vertices on no closing path
-and the candidates are still taken in ascending order, so the search
-meets the closing paths in the order of the plain search and returns
-the same witness.
+Both read the digraph from one cached link table over bitmasks: each
+(k-1)-subset of an edge, as a vertex mask, maps to the mask of the
+vertices completing it.  The search walks on an explicit stack, so a
+length has no recursion limit.  Its last two steps are filtered by the
+windows that close the cycle.  Every window that wraps around holds the
+last vertex, so the closing vertices are the AND of those windows'
+links, and the lowest is the witness; the second last vertex must lie
+in the links of the last window's closers.  The filters drop only
+vertices on no closing path and the candidates are still taken in
+ascending order, so the search meets the closing paths in the order of
+the plain search and returns the same witness.
 
 The lengths a spectrum scans, 4 (k for k != 3) up to min(s_max, n), have
 one home, :func:`scanned_lengths`; :func:`cycle_witnesses` maps each to
@@ -80,7 +80,7 @@ class Hypergraph:
     """
 
     __slots__ = (
-        "k", "n", "edges", "_edge_set", "_completions_cache", "_links_cache", "_periods_cache",
+        "k", "n", "edges", "_edge_set", "_links_cache", "_periods_cache",
     )
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
@@ -104,7 +104,6 @@ class Hypergraph:
         self.n = n
         self.edges = tuple(sorted(edges))
         self._edge_set = frozenset(self.edges)
-        self._completions_cache = None
         self._links_cache = None
         self._periods_cache = None
 
@@ -132,20 +131,9 @@ class Hypergraph:
                 deg[v] += 1
         return deg
 
-    def completions(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Map each (k-1)-subset of an edge to the vertices completing it."""
-        if self._completions_cache is None:
-            comp: dict[tuple[int, ...], list[int]] = {}
-            for e in self.edges:
-                for i in range(self.k):
-                    rest = e[:i] + e[i + 1:]
-                    comp.setdefault(rest, []).append(e[i])
-            self._completions_cache = {key: tuple(vals) for key, vals in comp.items()}
-        return self._completions_cache
-
     def _links(self) -> dict[int, int]:
         """Map the vertex mask of each (k-1)-subset of an edge to the mask of
-        the vertices completing it: ``completions()`` over bitmasks."""
+        the vertices completing it: the out-arcs of the tight-walk digraph."""
         if self._links_cache is None:
             links: dict[int, int] = {}
             get = links.get
@@ -155,7 +143,8 @@ class Hypergraph:
                     whole |= 1 << v
                 for v in e:
                     bit = 1 << v
-                    links[whole ^ bit] = get(whole ^ bit, 0) | bit
+                    key = whole ^ bit
+                    links[key] = get(key, 0) | bit
             self._links_cache = links
         return self._links_cache
 
@@ -163,13 +152,51 @@ class Hypergraph:
         """Periods of the strongly connected components of the tight-walk digraph.
 
         The digraph has one arc (x1..x_{k-1}) -> (x2..x_k) per ordering of
-        each edge, and its nodes are the ordered (k-1)-tuples inside edges.
-        Every period divides k, because the k rotations of one ordered edge
-        form a closed walk.  A tight cycle of length s >= k+1 needs a
-        period dividing s.
+        each edge, and its nodes are the ordered (k-1)-tuples inside edges:
+        the out-arcs of a node u with vertex mask m go to u[1:] + (w,) for
+        each bit w of ``_links()[m]``.  Every period divides k, because the
+        k rotations of one ordered edge form a closed walk.  A tight cycle
+        of length s >= k+1 needs a period dividing s.
+
+        Every arc lies on that closed walk, so the strongly connected
+        components are exactly the sets reached by a breadth-first search
+        from a not yet visited node.  A component's period is the gcd of
+        level[u] + 1 - level[v] over its arcs u -> v (Denardo 1977).  The
+        search goes one level at a time, each node queued with its mask.
+        Its roots are the orderings of e less its largest vertex, for each
+        edge e: the closed walk through an ordering of e passes one of them,
+        so every component holds a root.
         """
         if self._periods_cache is None:
-            self._periods_cache = _walk_periods(self.completions())
+            links = self._links()
+            periods = set()
+            level: dict[tuple[int, ...], int] = {}
+            for e in self.edges:
+                for root in itertools.permutations(e[:-1]):
+                    if root in level:
+                        continue
+                    level[root] = depth = period = 0
+                    frontier = [(root, sum(1 << v for v in root))]
+                    while frontier:
+                        depth += 1
+                        queue = frontier
+                        frontier = []
+                        for u, mask in queue:
+                            head = u[1:]
+                            head_mask = mask ^ 1 << u[0]
+                            c = links[mask]
+                            while c:
+                                low = c & -c
+                                c ^= low
+                                v = head + (low.bit_length() - 1,)
+                                seen = level.get(v)
+                                if seen is None:
+                                    level[v] = depth
+                                    frontier.append((v, head_mask | low))
+                                elif seen != depth:
+                                    period = math.gcd(period, depth - seen)
+                    periods.add(period)
+            self._periods_cache = frozenset(periods)
         return self._periods_cache
 
 
@@ -201,39 +228,6 @@ def tight_cycle(k: int, s: int) -> Hypergraph:
         raise ValueError(f"cycle length {s} is below the uniformity {k}")
     windows = (tuple((i + j) % s for j in range(k)) for i in range(s))
     return Hypergraph(k, s, windows)
-
-
-def _walk_periods(comp: dict[tuple[int, ...], tuple[int, ...]]) -> frozenset[int]:
-    """Component periods of the tight-walk digraph given by a completion table.
-
-    Every arc lies on the closed walk through the k rotations of its
-    ordered edge, so the strongly connected components are exactly the
-    sets reached by a breadth-first search from a not yet visited node.
-    A component's period is the gcd of level[u] + 1 - level[v] over its
-    arcs u -> v (Denardo 1977).
-    """
-    periods = set()
-    level: dict[tuple[int, ...], int] = {}
-    for key in comp:
-        for root in itertools.permutations(key):
-            if root in level:
-                continue
-            level[root] = 0
-            queue = [root]
-            period = 0
-            for u in queue:
-                head = u[1:]
-                depth = level[u] + 1
-                for w in comp[tuple(sorted(u))]:
-                    v = head + (w,)
-                    seen = level.get(v)
-                    if seen is None:
-                        level[v] = depth
-                        queue.append(v)
-                    else:
-                        period = math.gcd(period, depth - seen)
-            periods.add(period)
-    return frozenset(periods)
 
 
 def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
@@ -292,7 +286,7 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     link table, to depth s-1 and no further, on an explicit stack.  The
     last k-1 vertices are kept as a mask, and the candidates at a depth
     are the unvisited bits of their link, taken lowest first: the
-    completions of a (k-1)-set in ascending order, as the edges are
+    vertices completing a (k-1)-set in ascending order, as the edges are
     sorted.
 
     The last two steps are filtered by the closing windows.  Each of the

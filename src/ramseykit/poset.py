@@ -74,25 +74,6 @@ class Poset:
         return f"Poset(p={self.p})"
 
 
-def from_strict_pairs(p: int, pairs) -> Poset:
-    """Poset from generating strict relations x < y (closure computed)."""
-    down = [1 << x for x in range(p)]
-    covers = [[] for _ in range(p)]
-    for x, y in pairs:
-        covers[y].append(x)
-    changed = True
-    while changed:
-        changed = False
-        for y in range(p):
-            acc = down[y]
-            for x in covers[y]:
-                acc |= down[x]
-            if acc != down[y]:
-                down[y] = acc
-                changed = True
-    return Poset(down)
-
-
 def two_chains(a: int, b: int) -> Poset:
     """Disjoint union of a chain on a elements and a chain on b elements."""
     if a < 0 or b < 0:

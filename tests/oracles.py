@@ -14,6 +14,7 @@ import random
 
 from ramseykit.game import BLUE, RED
 from ramseykit.hypergraph import Hypergraph
+from ramseykit.poset import Poset
 from ramseykit.rng import SplitMix64
 
 
@@ -53,6 +54,16 @@ def brute_has_tight_cycle(H: Hypergraph, s: int) -> bool:
     return False
 
 
+def completions(H: Hypergraph) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map each (k-1)-subset of an edge, as a sorted tuple, to the vertices
+    completing it, ascending; the oracle for ``Hypergraph._links``."""
+    comp: dict[tuple[int, ...], list[int]] = {}
+    for e in H.edges:
+        for i in range(H.k):
+            comp.setdefault(e[:i] + e[i + 1:], []).append(e[i])
+    return {key: tuple(vals) for key, vals in comp.items()}
+
+
 def scan_cycles_by_tuple(H: Hypergraph, s: int) -> tuple[int, ...] | None:
     """The tight-path search over sorted (k-1)-tuples, with every wraparound
     window checked as an edge once the path reaches length s; the oracle
@@ -65,7 +76,7 @@ def scan_cycles_by_tuple(H: Hypergraph, s: int) -> tuple[int, ...] | None:
     length s closes into a cycle when its k-1 wraparound windows are edges.
     """
     k = H.k
-    comp = H.completions()
+    comp = completions(H)
     edge_set = H._edge_set
     path = [0] * s
 
@@ -137,6 +148,25 @@ def brute_periods(H: Hypergraph) -> frozenset[int]:
             if walks[v] >> v & 1:
                 gcds[v] = math.gcd(gcds[v], length)
     return frozenset(g for g in gcds if g)
+
+
+def from_strict_pairs(p: int, pairs) -> Poset:
+    """Poset from generating strict relations x < y (closure computed)."""
+    down = [1 << x for x in range(p)]
+    covers = [[] for _ in range(p)]
+    for x, y in pairs:
+        covers[y].append(x)
+    changed = True
+    while changed:
+        changed = False
+        for y in range(p):
+            acc = down[y]
+            for x in covers[y]:
+                acc |= down[x]
+            if acc != down[y]:
+                down[y] = acc
+                changed = True
+    return Poset(down)
 
 
 def is_independent(H: Hypergraph, vertices) -> bool:

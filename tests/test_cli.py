@@ -20,7 +20,7 @@ from ramseykit.construction import (
 from ramseykit.game import upper_bound_estimate
 from ramseykit.homomorphism import validate_homomorphism
 from ramseykit.hypergraph import Hypergraph, complete, load, save, tight_cycle
-from ramseykit.poset import Poset
+from ramseykit.poset import Poset, build_J, max_antichain
 
 
 def run_cli(*argv):
@@ -497,6 +497,15 @@ def test_poset_antichain_witness(capsys):
     marker = "# antichain: "
     assert lines[2].startswith(marker)
     assert len(lines[2][len(marker):].split()) == width
+    for k in (3, 4):
+        for t in range(k + 1, k + 7):
+            for level in (1, 2, 3):
+                argv = ("--k", str(k), "--t", str(t), "--level", str(level))
+                assert run_cli("poset", *argv, "--antichain") == 0
+                lines = capsys.readouterr().out.splitlines()
+                width = max_antichain(build_J(level, t, k))
+                assert lines[1].split(",")[4] == str(width), (k, t, level)
+                assert len(lines[2][len(marker):].split()) == width
 
 
 @pytest.mark.parametrize("k", [2, -3])
@@ -540,6 +549,26 @@ def test_bound_small_t_is_usage_error(capsys, t):
 
 # ---------------------------------------------------------------------------
 # environment and plumbing
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", [
+    ("construct", "--n", "12", "--out", "{dir}/lift.txt"),
+    ("game", "--t", "5", "--painter", "random", "--transcript", "{dir}/game.jsonl"),
+    ("alpha", "--n-values", "10", "--seeds-per-n", "1", "--out", "{dir}/alpha.csv"),
+    ("steiner", "--t", "9", "--seeds", "1", "--out", "{dir}/steiner.csv",
+     "--packing-out", "{dir}/best.txt"),
+])
+def test_seed_outside_u64_names_the_option(tmp_path, capsys, command, seed):
+    argv = [arg.format(dir=tmp_path) for arg in command]
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv, "--seed", seed)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --seed: {seed} lies outside [0, 18446744073709551615]" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from oracles import (
     brute_has_tight_cycle,
     brute_periods,
     brute_spectrum,
+    completions,
     independence_greedy,
     is_independent,
     random_hypergraph,
@@ -96,7 +97,7 @@ def test_complete_and_cycle_shapes():
 
 def test_completions_index():
     H = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
-    comp = H.completions()
+    comp = completions(H)
     assert comp[(0, 1)] == (2, 3)
     assert comp[(2, 3)] == (4,)
 
@@ -108,9 +109,21 @@ def test_links_index():
     assert links[0b01100] == 0b10000  # {2, 3} -> {4}
     assert links == {
         sum(1 << v for v in key): sum(1 << v for v in vals)
-        for key, vals in H.completions().items()
+        for key, vals in completions(H).items()
     }
     assert H._links() is links
+
+
+def test_periods_and_scan_share_one_link_table():
+    # periods() reads the link table that the search then reuses; the
+    # tuple table lives only in the test oracles
+    H = tight_cycle(3, 7)
+    assert H.periods() == {1}
+    links = H._links_cache
+    assert links is not None
+    assert find_tight_cycle(H, 7) == (0, 1, 2, 3, 4, 5, 6)
+    assert H._links() is links
+    assert not hasattr(Hypergraph, "completions")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +308,7 @@ def test_period_examples():
     assert Hypergraph(3, 5).periods() == frozenset()
 
 
-@pytest.mark.parametrize("k,n", [(3, 7), (4, 6)])
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 6), (2, 8)])
 def test_periods_match_closed_walk_oracle(k, n):
     seen = set()
     for seed in range(30):
@@ -331,6 +344,9 @@ def test_lifts_have_periods_divisible_by_k():
     for seed in range(10):
         H = build_hk(sample_graph(3, 10, seed), 4)
         assert H.periods() and all(p % 4 == 0 for p in H.periods()), seed
+    for seed in range(5):
+        H = build_hk(sample_graph(4, 14, seed), 5)
+        assert H.periods() and all(p % 5 == 0 for p in H.periods()), seed
 
 
 # ---------------------------------------------------------------------------

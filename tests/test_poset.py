@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from oracles import brute_ideals, brute_matching_size, brute_width
+from oracles import brute_ideals, brute_matching_size, brute_width, from_strict_pairs
 from ramseykit.poset import (
     IdealCapExceeded,
     Poset,
     SymbolicTower,
     antichain_witness,
     build_J,
-    from_strict_pairs,
     ideal_lattice,
     ideals,
     j4_log2_lower_bound,
