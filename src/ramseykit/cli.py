@@ -289,14 +289,38 @@ def _comma_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 0 <= seed <= MASK64:
-        raise argparse.ArgumentTypeError(f"{seed} lies outside [0, {MASK64}]")
-    return seed
+def _int_in(low: int, high: int):
+    """An argparse type: an integer in [low, high]."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} lies outside [{low}, {high}]")
+        return value
+    return parse
+
+
+def _float_in(low: float, high: float, *, open_low: bool = False):
+    """An argparse type: a float in [low, high], or (low, high] when
+    ``open_low``; nan fails both comparisons and is refused."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        above = low < value if open_low else low <= value
+        if not (above and value <= high):
+            bracket = "(" if open_low else "["
+            raise argparse.ArgumentTypeError(
+                f"{text} lies outside {bracket}{low:g}, {high:g}]"
+            )
+        return value
+    return parse
+
+
+_seed = _int_in(0, MASK64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--p-red", type=float, default=0.5)
+    p.add_argument("--p-red", type=_float_in(0.0, 1.0), default=0.5)
     p.add_argument("--safety-cap", type=int, default=10000)
     p.add_argument("--transcript", default=None)
     p.set_defaults(func=_cmd_game, needs_seed=True)
@@ -379,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate the log2 upper-bound certificate")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_float_in(0.0, 0.5, open_low=True), default=None)
     p.add_argument("--vertices", type=int, default=None)
     p.add_argument("--red-edges", type=int, default=None)
     p.add_argument("--total-edges", type=int, default=None)

@@ -13,7 +13,9 @@ arc of G's, so each strongly connected component of F lands inside one
 component of G, and closed walks keep their lengths.  That component's
 period therefore divides the F component's period; when some period of
 F is a multiple of no period of G, no homomorphism exists.  For k = 2
-this is the rule that an odd cycle maps into no bipartite graph.
+this is the rule that an odd cycle maps into no bipartite graph.  The
+test on G is the one tight-cycle lengths get, ``G._admits(q)`` for each
+period q of F, so G's period walk may stop early on a q it admits.
 Otherwise ``None`` comes from the exhaustive backtracking search.
 """
 
@@ -100,9 +102,9 @@ def _search_order(F: Hypergraph) -> list[int]:
 
 
 def _period_forbids(F: Hypergraph, G: Hypergraph) -> bool:
-    """True when some component period of F is a multiple of no period of G."""
-    G_periods = G.periods()
-    return any(all(q % p for p in G_periods) for q in F.periods())
+    """True when some component period of F is a multiple of no period of G:
+    a period q of F that G does not admit as a closed-walk length."""
+    return any(not G._admits(q) for q in F.periods())
 
 
 def exists_homomorphism(F: Hypergraph, G: Hypergraph) -> Optional[VertexMapping]:

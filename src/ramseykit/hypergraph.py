@@ -20,6 +20,16 @@ length that no component period divides is therefore absent.  Every
 other length s gets its own exhaustive tight-path search, bounded at
 depth s; it stops at the first closing path, which is the witness.
 
+The certificate is asked one question, ``Hypergraph._admits(s)``: does
+some period divide s?  A component's period is the gcd of k and of the
+level differences along its arcs, and while the component is walked its
+running gcd is a multiple of that period.  So the first running gcd that
+divides s admits s, and the walk stops there; the gcd is kept, and a
+later length it divides is admitted without a walk.  Only a walk that
+runs to the end stores the period set, and it is the only way a length
+is refused, so "absent" keeps its certificate.  On a host with a
+period-1 component the walk stops as soon as it meets that component.
+
 Both read the digraph from one cached link table over bitmasks: each
 (k-1)-subset of an edge, as a vertex mask, maps to the mask of the
 vertices completing it.  The search walks on an explicit stack, so a
@@ -81,6 +91,7 @@ class Hypergraph:
 
     __slots__ = (
         "k", "n", "edges", "_edge_set", "_links_cache", "_periods_cache",
+        "_admit_gcd",
     )
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
@@ -106,6 +117,7 @@ class Hypergraph:
         self._edge_set = frozenset(self.edges)
         self._links_cache = None
         self._periods_cache = None
+        self._admit_gcd = 0
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -161,43 +173,80 @@ class Hypergraph:
         Every arc lies on that closed walk, so the strongly connected
         components are exactly the sets reached by a breadth-first search
         from a not yet visited node.  A component's period is the gcd of
-        level[u] + 1 - level[v] over its arcs u -> v (Denardo 1977).  The
-        search goes one level at a time, each node queued with its mask.
-        Its roots are the orderings of e less its largest vertex, for each
-        edge e: the closed walk through an ordering of e passes one of them,
-        so every component holds a root.
+        k and of level[u] + 1 - level[v] over its arcs u -> v (Denardo
+        1977; k adds nothing, as the period divides it).  The search goes
+        one level at a time, each node queued with its mask.  Its roots are
+        the orderings of e less its largest vertex, for each edge e: the
+        closed walk through an ordering of e passes one of them, so every
+        component holds a root.  The set is cached; ``_admits`` runs the
+        same walk for one length and may stop before it ends.
         """
         if self._periods_cache is None:
-            links = self._links()
-            periods = set()
-            level: dict[tuple[int, ...], int] = {}
-            for e in self.edges:
-                for root in itertools.permutations(e[:-1]):
-                    if root in level:
-                        continue
-                    level[root] = depth = period = 0
-                    frontier = [(root, sum(1 << v for v in root))]
-                    while frontier:
-                        depth += 1
-                        queue = frontier
-                        frontier = []
-                        for u, mask in queue:
-                            head = u[1:]
-                            head_mask = mask ^ 1 << u[0]
-                            c = links[mask]
-                            while c:
-                                low = c & -c
-                                c ^= low
-                                v = head + (low.bit_length() - 1,)
-                                seen = level.get(v)
-                                if seen is None:
-                                    level[v] = depth
-                                    frontier.append((v, head_mask | low))
-                                elif seen != depth:
-                                    period = math.gcd(period, depth - seen)
-                    periods.add(period)
-            self._periods_cache = frozenset(periods)
+            self._walk_periods(0)
         return self._periods_cache
+
+    def _admits(self, s: int) -> bool:
+        """True iff some component period divides s (s >= 1).
+
+        Reads the cached period set if there is one.  Otherwise the running
+        gcd kept by an earlier walk that stopped early, or a new walk, may
+        admit s; a walk that ends instead has cached the set, which is read.
+        """
+        if self._periods_cache is None:
+            kept = self._admit_gcd
+            if kept and s % kept == 0 or self._walk_periods(s):
+                return True
+        return any(s % p == 0 for p in self._periods_cache)
+
+    def _walk_periods(self, s: int) -> bool:
+        """The period walk of ``periods``; True once a running gcd divides s.
+
+        While a component is walked, its running gcd (from k down) is a
+        multiple of the component's final period, so the first running gcd
+        that divides s proves that a period divides s: the walk keeps that
+        gcd in ``_admit_gcd`` and stops.  A walk that ends caches the
+        period set and returns False; s = 0 never stops it.
+        """
+        k = self.k
+        links = self._links()
+        periods = set()
+        level: dict[tuple[int, ...], int] = {}
+        for e in self.edges:
+            for root in itertools.permutations(e[:-1]):
+                if root in level:
+                    continue
+                period = k  # the running gcd starts at k, which the period divides
+                if s and not s % period:
+                    self._admit_gcd = period
+                    return True
+                level[root] = depth = 0
+                frontier = [(root, sum(1 << v for v in root))]
+                while frontier:
+                    depth += 1
+                    queue = frontier
+                    frontier = []
+                    for u, mask in queue:
+                        head = u[1:]
+                        head_mask = mask ^ 1 << u[0]
+                        c = links[mask]
+                        while c:
+                            low = c & -c
+                            c ^= low
+                            v = head + (low.bit_length() - 1,)
+                            seen = level.get(v)
+                            if seen is None:
+                                level[v] = depth
+                                frontier.append((v, head_mask | low))
+                            elif seen != depth:
+                                g = math.gcd(period, depth - seen)
+                                if g != period:
+                                    period = g
+                                    if s and not s % g:
+                                        self._admit_gcd = g
+                                        return True
+                periods.add(period)
+        self._periods_cache = frozenset(periods)
+        return False
 
 
 def _checked_edges(k: int, n: int, edges: Iterable[Iterable[int]]):
@@ -237,7 +286,10 @@ def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     cycle's minimum vertex first, or None.  Beyond s == k (an edge) and
     s > n (None), None comes from the period certificate when no period
     of ``H.periods()`` divides s, and otherwise from the tight-path search
-    bounded at depth s, whose first closing path is the witness.
+    bounded at depth s, whose first closing path is the witness.  The
+    certificate is read through ``H._admits(s)``, whose period walk stops
+    at the first running gcd that divides s: that gcd is a multiple of
+    some component's period, so that period divides s too.
     """
     k = H.k
     if s < k:
@@ -246,7 +298,7 @@ def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
         return None
     if s == k:
         return H.edges[0] if H.edges else None
-    if not any(s % p == 0 for p in H.periods()):
+    if not H._admits(s):
         return None
     return _scan_cycles(H, s)
 
@@ -255,7 +307,9 @@ def contains_tight_cycle(H: Hypergraph, s: int) -> bool:
     """True iff H contains a tight cycle on s distinct vertices.
 
     False is proved by the period certificate when no component period of
-    ``H.periods()`` divides s, and otherwise by the exhaustive search.
+    ``H.periods()`` divides s, and otherwise by the exhaustive search.  A
+    False from the certificate walks the whole digraph and caches the
+    period set; a True may leave it uncached (see ``find_tight_cycle``).
     """
     return find_tight_cycle(H, s) is not None
 

@@ -31,7 +31,6 @@ from array import array
 from collections.abc import MutableSequence
 
 MASK64 = (1 << 64) - 1
-_TWO64 = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 
 # words per block of ``shuffle``: an integer of 16 KiB per temporary
@@ -51,6 +50,8 @@ def _lanes(words: array) -> int:
 
 _ONE = _lanes(array("Q", [1]) * _BLOCK)
 _MASK = _lanes(array("Q", [MASK64]) * _BLOCK)
+# bit 64 of every lane: set in a lane whose low half overflowed
+_CARRY = _ONE << 64
 # lane k holds (k + 1) * gamma, below 2**75: no carry between lanes
 _GAMMA_RAMP = _GAMMA * _lanes(array("Q", range(1, _BLOCK + 1)))
 
@@ -85,8 +86,9 @@ def derive_seed(base: int, *parts: int) -> int:
     return z
 
 
-def _block_words(state: int, count: int) -> array:
-    """The next ``count`` (at most ``_BLOCK``) words after ``state``.
+def _block_lanes(state: int, count: int) -> int:
+    """The next ``count`` (at most ``_BLOCK``) words after ``state``, word k
+    in 128-bit lane k of one integer.
 
     Lane k starts as s + (k + 1) * gamma and goes through the finalizer
     with the whole integer at once.  Masking every lane to its low 64
@@ -100,8 +102,17 @@ def _block_words(state: int, count: int) -> array:
     z = z * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ z >> 27) & _MASK
     z = z * 0x94D049BB133111EB & _MASK
-    z = (z ^ z >> 31) & _MASK
+    return (z ^ z >> 31) & _MASK
+
+
+def _unpack(z: int, count: int) -> array:
+    """The 64-bit words in the low halves of z's first ``count`` lanes."""
     return array("Q", z.to_bytes(16 * count, sys.byteorder))[_LOW]
+
+
+def _block_words(state: int, count: int) -> array:
+    """The next ``count`` (at most ``_BLOCK``) words after ``state``."""
+    return _unpack(_block_lanes(state, count), count)
 
 
 class SplitMix64:
@@ -148,21 +159,25 @@ class SplitMix64:
         The draws depend only on len(items), so any mutable sequence of
         the same length (a list, an ``array``) gets the same permutation.
         Each draw is ``next_below(i + 1)``.  The words come a block at a
-        time from ``_block_words``, the same words ``next_u64`` gives.  A
+        time from ``_block_lanes``, the same words ``next_u64`` gives.  A
         word below 2**64 - (i + 1) is always under the rejection limit,
         so when every word of a block is below 2**64 minus the block's
-        largest modulus, no draw rejects and the block's indices j are
-        reduced in one ``map``.  Otherwise (a chance of about
-        ``_BLOCK`` * len(items) / 2**64) the block's draws are made one
-        at a time by ``next_below``, with the exact rejection limit.
+        largest modulus m, no draw rejects and the block's indices j are
+        reduced in one ``map``.  That test reads the packed lanes without
+        unpacking them: adding m to every lane carries into bit 64 of a
+        lane exactly when its word is at least 2**64 - m.  Otherwise (a
+        chance of about ``_BLOCK`` * len(items) / 2**64) the block's
+        draws are made one at a time by ``next_below``, with the exact
+        rejection limit.
         """
         state = self.state
         hi = len(items) - 1
         while hi > 0:
             count = min(hi, _BLOCK)
             stop = hi - count
-            words = _block_words(state, count)
-            if max(words) < _TWO64 - (hi + 1):
+            z = _block_lanes(state, count)
+            if not (z + (hi + 1) * (_ONE & (1 << 128 * count) - 1)) & _CARRY:
+                words = _unpack(z, count)
                 drawn = map(operator.mod, words, range(hi + 1, stop + 1, -1))
                 for i, j in zip(range(hi, stop, -1), drawn):
                     items[i], items[j] = items[j], items[i]

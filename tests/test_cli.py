@@ -571,6 +571,48 @@ def test_seed_outside_u64_names_the_option(tmp_path, capsys, command, seed):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    (("game", "--t", "5", "--painter", "random", "--transcript", "{dir}/game.jsonl"),
+     "--p-red", value, message)
+    for value, message in [
+        ("2", "2 lies outside [0, 1]"),
+        ("-0.1", "-0.1 lies outside [0, 1]"),
+        ("nan", "nan lies outside [0, 1]"),
+        ("inf", "inf lies outside [0, 1]"),
+        ("half", "expected a number, got 'half'"),
+    ]
+] + [
+    (("bound", "--t", "5", "--out", "{dir}/bound.csv"), "--alpha", value, message)
+    for value, message in [
+        ("0.9", "0.9 lies outside (0, 0.5]"),
+        ("0", "0 lies outside (0, 0.5]"),
+        ("-0.25", "-0.25 lies outside (0, 0.5]"),
+        ("nan", "nan lies outside (0, 0.5]"),
+        ("", "expected a number, got ''"),
+    ]
+])
+def test_float_outside_domain_names_the_option(tmp_path, capsys, command, option, value, message):
+    argv = [arg.format(dir=tmp_path) for arg in command]
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv, f"{option}={value}")
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: {message}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("game", "--t", "5", "--painter", "random", "--seed", "3", "--p-red", "1"),
+     "t=5 outcome=RedK4Minus vertices_used=4 red_edges=5 total_edges=5\n"),
+    (("bound", "--t", "5", "--alpha", "0.5"), "5,0.5,21,64,128,132.392317\n"),
+])
+def test_float_domain_keeps_its_ends(capsys, argv, line):
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.endswith(line)
+
+
 def test_env_seed_default(tmp_path, monkeypatch):
     monkeypatch.setenv("RAMSEY_SEED", "7")
     a = tmp_path / "a.txt"

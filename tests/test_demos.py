@@ -1,7 +1,7 @@
 """Each quick demo's stdout is frozen by its SHA-256.
 
 ``random_host.py`` takes several seconds, so only the CI workflow runs
-it, without a digest.
+it; its "Demos" step checks that demo's stdout against its SHA-256.
 """
 
 import hashlib

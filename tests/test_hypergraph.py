@@ -337,6 +337,79 @@ def test_period_certificate_matches_brute(k):
     assert excluded > 0
 
 
+@pytest.mark.parametrize("k, graphs", [(2, 12), (3, 12), (4, 12), (5, 3)])
+def test_period_early_exit_matches_brute(k, graphs):
+    # find_tight_cycle asks H._admits(s), which may stop the period walk at
+    # the first running gcd dividing s.  Three ways in: a fresh H per length
+    # (the early exit), one H asked every length in order, up and down (the
+    # kept gcd), and one H after periods() (the cached set).  The tight
+    # cycles add periods 2 and 4 at k = 4, where a kept gcd 2 admits 6 but
+    # not 5.  brute_periods takes up to 1.4 s on a 5-graph, so k = 5 gets
+    # fewer graphs
+    hosts = [(7, random_hypergraph(k, 7, 50 * k + seed, eighths=1 + seed % 4).edges)
+             for seed in range(graphs)]
+    if k < 5:
+        hosts += [(n, tight_cycle(k, n).edges) for n in range(k + 1, 8)]
+    stopped = refused = 0
+    for n, edges in hosts:
+        def fresh():
+            return Hypergraph(k, n, edges)
+
+        lengths = range(k + 1, n + 1)
+        periods = brute_periods(fresh())
+        admitted = {s: any(s % p == 0 for p in periods) for s in lengths}
+        present = {s: s in brute_spectrum(fresh(), n) for s in lengths}
+        assert all(admitted[s] for s in lengths if present[s]), edges
+        for s in lengths:
+            H = fresh()
+            assert H._admits(s) == admitted[s], (edges, s)
+            stopped += H._periods_cache is None
+            refused += not admitted[s]
+            assert contains_tight_cycle(fresh(), s) == present[s], (edges, s)
+            assert (find_tight_cycle(fresh(), s) is not None) == present[s], (edges, s)
+        for order in (lengths, lengths[::-1]):
+            H = fresh()
+            assert {s: H._admits(s) for s in order} == admitted, edges
+            H = fresh()
+            assert {s: contains_tight_cycle(H, s) for s in order} == present, edges
+            assert H.periods() == periods, edges
+        H = fresh()
+        assert H.periods() == periods, edges
+        assert {s: H._admits(s) for s in lengths} == admitted, edges
+        assert {s: contains_tight_cycle(H, s) for s in lengths} == present, edges
+    # both the early exit and the full walk to an absent length occur
+    assert stopped and refused
+
+
+def test_spectrum_stops_the_period_walk_on_period_one_hosts():
+    # every reference host has a period-1 component, so the first scanned
+    # length stops the walk, the kept gcd 1 admits every later length and
+    # the full period set is never stored; periods() then walks afresh
+    for i, H in enumerate(reference_hosts()):
+        edges = H.edges
+        assert 1 in H.periods(), i
+        H = Hypergraph(3, 25, edges)
+        spectrum = cycle_spectrum(H, 12)
+        assert H._periods_cache is None, i
+        assert H._admit_gcd == 1, i
+        periods = H.periods()
+        assert periods == Hypergraph(3, 25, edges).periods(), i
+        assert cycle_spectrum(H, 12) == spectrum, i  # now from the cached set
+        if i in (0, 2):  # periods {1} and {1, 3}; the oracle takes about a second a host
+            assert periods == brute_periods(H), i
+
+
+@pytest.mark.parametrize("k, n", [(3, 12), (4, 10)])
+def test_absent_length_fills_the_period_cache(k, n):
+    # an absent length walks the whole digraph and stores the period set
+    for seed in range(5):
+        H = build_hk(sample_graph(k - 1, n, seed), k)
+        assert H._periods_cache is None
+        assert not contains_tight_cycle(H, k + 1), seed
+        periods = H._periods_cache
+        assert periods and all(p % k == 0 for p in periods), seed
+
+
 def test_lifts_have_periods_divisible_by_k():
     for seed in range(20):
         H = build_h3(sample_graph(2, 12, seed))
