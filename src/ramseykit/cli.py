@@ -4,6 +4,9 @@ Every subcommand is a thin wrapper over the library.  Tabular output is
 CSV with a header row, written UTF-8 with \\n line endings.  Exit codes:
 0 for success or a verified property, 1 for a property violation (a
 counterexample artifact is written to a file), 2 for usage errors.
+An option's domain is its argparse type; the subcommands check only one
+option against another or against a file.  Give a value argparse would
+read as an option, such as -inf, as --opt=VALUE.
 
 Environment: RAMSEY_SEED supplies the default seed when --seed is
 omitted (0 if unset).
@@ -17,20 +20,7 @@ import os
 import sys
 
 from . import construction, game, homomorphism, hypergraph, poset
-from .rng import MASK64, check_seed
-
-
-def _usage_error(message: str) -> SystemExit:
-    sys.stderr.write(f"ramseykit: {message}\n")
-    return SystemExit(2)
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("RAMSEY_SEED", "0")
-    try:
-        return check_seed(int(raw))
-    except ValueError:
-        raise _usage_error(f"bad RAMSEY_SEED value {raw!r}")
+from .rng import MASK64
 
 
 def _write_text(path: str, text: str) -> None:
@@ -50,8 +40,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    if args.k < 3:
-        raise ValueError(f"uniformity must be at least 3, got {args.k}")
     if args.n < args.k - 1:
         raise ValueError(
             f"--n {args.n} must be at least {args.k - 1}, "
@@ -91,10 +79,6 @@ def _cmd_check_cycles(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    if args.seeds_per_n < 1:
-        raise ValueError(f"--seeds-per-n {args.seeds_per_n} must be at least 1")
-    if not args.n_values:
-        raise ValueError("--n-values names no order")
     for n in args.n_values:
         if not 2 <= n <= args.cap:
             raise ValueError(f"--n-values {n} lies outside [2, --cap {args.cap}]")
@@ -111,10 +95,6 @@ _STEINER_MAX_T = 300
 
 
 def _cmd_steiner(args) -> int:
-    if not 3 <= args.t <= _STEINER_MAX_T:
-        raise ValueError(f"--t {args.t} lies outside [3, {_STEINER_MAX_T}]")
-    if args.seeds < 1:
-        raise ValueError(f"--seeds {args.seeds} must be at least 1")
     if args.seed + args.seeds - 1 > MASK64:
         raise ValueError(
             f"--seed {args.seed} plus --seeds {args.seeds} runs past "
@@ -268,6 +248,12 @@ def _cmd_bound(args) -> int:
     vertices = args.vertices if args.vertices is not None else vertex_cap
     red = args.red_edges if args.red_edges is not None else red_cap
     total = args.total_edges if args.total_edges is not None else edge_cap
+    if red > total:
+        default = f" (the default at --t {t})"
+        raise ValueError(
+            f"--red-edges {red}{default if args.red_edges is None else ''} exceeds "
+            f"--total-edges {total}{default if args.total_edges is None else ''}"
+        )
     alpha = args.alpha if args.alpha is not None else 1.0 / t
     value = game.upper_bound_estimate(t, vertices, red, total, alpha)
     lines = [
@@ -284,20 +270,24 @@ def _cmd_bound(args) -> int:
 
 def _comma_ints(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
-def _int_in(low: int, high: int):
-    """An argparse type: an integer in [low, high]."""
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an integer in [low, high], at least low by default."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"{value} lies outside [{low}, {high}]")
+            top = f"{high}]" if high < math.inf else "inf)"
+            raise argparse.ArgumentTypeError(f"{value} lies outside [{low}, {top}")
         return value
     return parse
 
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="lift a random graph and write the result")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_int_in(3), default=3)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_construct, needs_seed=True)
@@ -346,29 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="exact independence numbers of random lifts")
     p.add_argument("--n-values", type=_comma_ints, default=[16, 32, 64])
-    p.add_argument("--seeds-per-n", type=int, default=30)
+    p.add_argument("--seeds-per-n", type=_int_in(1), default=30)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_int_in(2), default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_alpha, needs_seed=True)
 
     p = sub.add_parser("steiner", help="randomized greedy partial triple systems")
     p.add_argument(
-        "--t", type=int, required=True, help=f"points, 3 to {_STEINER_MAX_T}"
+        "--t", type=_int_in(3, _STEINER_MAX_T), required=True,
+        help=f"points, 3 to {_STEINER_MAX_T}",
     )
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_int_in(1), default=10)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--packing-out", default=None)
     p.set_defaults(func=_cmd_steiner, needs_seed=True)
 
     p = sub.add_parser("threshold", help="union-bound clique threshold per order")
-    p.add_argument("--n", type=int, nargs="+", required=True)
+    p.add_argument("--n", type=_int_in(2), nargs="+", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("game", help="play one building game against a painter")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_in(3), required=True)
     p.add_argument(
         "--painter",
         choices=["all-red", "all-blue", "random", "greedy", "interactive"],
@@ -376,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--p-red", type=_float_in(0.0, 1.0), default=0.5)
-    p.add_argument("--safety-cap", type=int, default=10000)
+    p.add_argument("--safety-cap", type=_int_in(1), default=10000)
     p.add_argument("--transcript", default=None)
     p.set_defaults(func=_cmd_game, needs_seed=True)
 
@@ -392,21 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hom)
 
     p = sub.add_parser("poset", help="iterated ideal posets: size and width")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(3), required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_in(1), required=True)
     p.add_argument("--antichain", action="store_true")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--cap", type=int, default=poset.DEFAULT_IDEAL_CAP)
+    p.add_argument("--cap", type=_int_in(1), default=poset.DEFAULT_IDEAL_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("bound", help="evaluate the log2 upper-bound certificate")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_in(3), required=True)
     p.add_argument("--alpha", type=_float_in(0.0, 0.5, open_low=True), default=None)
-    p.add_argument("--vertices", type=int, default=None)
-    p.add_argument("--red-edges", type=int, default=None)
-    p.add_argument("--total-edges", type=int, default=None)
+    p.add_argument("--vertices", type=_int_in(1), default=None)
+    p.add_argument("--red-edges", type=_int_in(0), default=None)
+    p.add_argument("--total-edges", type=_int_in(0), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bound)
 
@@ -417,7 +408,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "needs_seed", False) and args.seed is None:
-        args.seed = _env_seed()
+        try:
+            args.seed = _seed(os.environ.get("RAMSEY_SEED", "0"))
+        except argparse.ArgumentTypeError as err:
+            parser.error(f"RAMSEY_SEED: {err}")
     try:
         return args.func(args)
     except (ValueError, OSError, poset.IdealCapExceeded) as err:

@@ -17,7 +17,7 @@ The stream is counter-based (Salmon et al., 2011): the state only ever
 adds the increment gamma, so the k-th word after state s (k = 1, 2, ...)
 is ``mix64(s + k * gamma mod 2**64)`` and depends on no word before it.
 ``shuffle`` therefore computes up to ``_BLOCK`` words at once, each in
-its own 128-bit lane of one integer (``_block_words``).  They are the
+its own 128-bit lane of one integer (``_block_lanes``).  They are the
 words successive ``next_u64`` calls return, and a block holding a word
 that ``next_below`` might reject is drawn one word at a time, so the
 permutation and the final state are those of the per-draw pass.
@@ -108,11 +108,6 @@ def _block_lanes(state: int, count: int) -> int:
 def _unpack(z: int, count: int) -> array:
     """The 64-bit words in the low halves of z's first ``count`` lanes."""
     return array("Q", z.to_bytes(16 * count, sys.byteorder))[_LOW]
-
-
-def _block_words(state: int, count: int) -> array:
-    """The next ``count`` (at most ``_BLOCK``) words after ``state``."""
-    return _unpack(_block_lanes(state, count), count)
 
 
 class SplitMix64:

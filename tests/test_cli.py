@@ -53,16 +53,6 @@ def test_construct_k4(tmp_path):
     assert load(out).k == 4
 
 
-@pytest.mark.parametrize("k", [2, 0])
-def test_construct_small_k_is_usage_error(tmp_path, capsys, k):
-    out = tmp_path / "h.txt"
-    assert run_cli("construct", "--n", "10", "--k", str(k), "--out", str(out)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ramseykit: uniformity must be at least 3, got {k}\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("n,k", [(2, 4), (0, 3), (-1, 3)])
 def test_construct_small_n_is_usage_error(tmp_path, capsys, n, k):
     out = tmp_path / "h.txt"
@@ -208,9 +198,6 @@ def test_alpha_grid_stdout_matches_frozen_digest(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--seeds-per-n", "0"], "--seeds-per-n 0 must be at least 1"),
-        (["--seeds-per-n", "-2"], "--seeds-per-n -2 must be at least 1"),
-        (["--n-values", ","], "--n-values names no order"),
         (["--n-values", "1,100"], "--n-values 1 lies outside [2, --cap 64]"),
         (["--n-values", "10,100"], "--n-values 100 lies outside [2, --cap 64]"),
         (["--n-values", "10", "--cap", "8"], "--n-values 10 lies outside [2, --cap 8]"),
@@ -241,19 +228,6 @@ def test_steiner_csv_and_packing(tmp_path, capsys):
         if not ln.startswith("#")
     ]
     assert len(triples) == best
-
-
-@pytest.mark.parametrize("seeds", ["0", "-2"])
-def test_steiner_without_seeds_is_usage_error(tmp_path, capsys, seeds):
-    pack = tmp_path / "p.txt"
-    code = run_cli(
-        "steiner", "--t", "9", "--seeds", seeds, "--packing-out", str(pack),
-    )
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"--seeds {seeds} must be at least 1" in captured.err
-    assert not pack.exists()
 
 
 @pytest.mark.parametrize("seed, seeds", [
@@ -302,18 +276,6 @@ def test_steiner_readme_example_frozen(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(pack.read_bytes()).hexdigest() == (
         "3897f0f1f9285643e9b51ccacee0097aed944ee167ea55712417889329675a97"
     )
-
-
-@pytest.mark.parametrize("t", ["301", "2"])
-def test_steiner_t_outside_range_is_usage_error(tmp_path, capsys, t):
-    pack = tmp_path / "p.txt"
-    out = tmp_path / "s.csv"
-    code = run_cli("steiner", "--t", t, "--out", str(out), "--packing-out", str(pack))
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ramseykit: --t {t} lies outside [3, 300]\n"
-    assert not pack.exists() and not out.exists()
 
 
 def test_steiner_help_names_the_ceiling(capsys):
@@ -405,13 +367,6 @@ def test_game_verify_failure_writes_replayable_transcript(
     with pytest.raises(game.GameAborted) as info:
         game.run_game(4, game.scripted_painter(colors))
     assert info.value.transcript == records
-
-
-def test_game_safety_cap_zero_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("game", "--t", "4", "--painter", "all-red", "--safety-cap", "0") == 2
-    assert "safety cap" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_game_safety_cap_message_counts_vertices(tmp_path, monkeypatch, capsys):
@@ -508,14 +463,6 @@ def test_poset_antichain_witness(capsys):
                 assert len(lines[2][len(marker):].split()) == width
 
 
-@pytest.mark.parametrize("k", [2, -3])
-def test_poset_small_k_is_usage_error(capsys, k):
-    assert run_cli("poset", "--k", str(k), "--t", "10", "--level", "3") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ramseykit: uniformity must be at least 3, got {k}\n"
-
-
 def test_poset_cap_exceeded_is_refused(capsys):
     assert run_cli("poset", "--k", "3", "--t", "30", "--level", "3",
                    "--cap", "10") == 2
@@ -539,12 +486,17 @@ def test_bound_explicit_arguments(capsys):
     assert capsys.readouterr().out.splitlines()[1].endswith("7.000000")
 
 
-@pytest.mark.parametrize("t", ["0", "-1"])
-def test_bound_small_t_is_usage_error(capsys, t):
-    assert run_cli("bound", "--t", t) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"ramseykit: target t must be at least 3, got {t}\n"
+@pytest.mark.parametrize("argv, message", [
+    (["--red-edges", "9999999"],
+     "--red-edges 9999999 exceeds --total-edges 128 (the default at --t 5)"),
+    (["--total-edges", "3"], "--red-edges 64 (the default at --t 5) exceeds --total-edges 3"),
+    (["--red-edges", "10", "--total-edges", "3"], "--red-edges 10 exceeds --total-edges 3"),
+])
+def test_bound_red_above_total_names_both_options(tmp_path, capsys, argv, message):
+    out = tmp_path / "bound.csv"
+    assert run_cli("bound", "--t", "5", *argv, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"ramseykit: {message}\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +542,82 @@ def test_seed_outside_u64_names_the_option(tmp_path, capsys, command, seed):
         ("nan", "nan lies outside (0, 0.5]"),
         ("", "expected a number, got ''"),
     ]
+] + [
+    # written as a separate word, -inf is read as an option string and
+    # refused with "expected one argument"
+    (("game", "--t", "5", "--painter", "random", "--transcript", "{dir}/game.jsonl"),
+     "--p-red", "-inf", "-inf lies outside [0, 1]"),
+    (("bound", "--t", "5", "--out", "{dir}/bound.csv"),
+     "--alpha", "-inf", "-inf lies outside (0, 0.5]"),
 ])
 def test_float_outside_domain_names_the_option(tmp_path, capsys, command, option, value, message):
     argv = [arg.format(dir=tmp_path) for arg in command]
     with pytest.raises(SystemExit) as info:
         run_cli(*argv, f"{option}={value}")
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: {message}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# the required options of each subcommand, with every output in {dir}; the
+# option under test is appended, and argparse checks each occurrence of an
+# option, so a value given again last is checked too
+_DOMAIN_BASES = {
+    "construct": ("--n", "10", "--out", "{dir}/lift.txt"),
+    "alpha": ("--n-values", "10", "--seeds-per-n", "1", "--out", "{dir}/alpha.csv"),
+    "steiner": ("--t", "9", "--seeds", "1", "--out", "{dir}/steiner.csv",
+                "--packing-out", "{dir}/best.txt"),
+    "threshold": ("--n", "1000", "--out", "{dir}/threshold.csv"),
+    "game": ("--t", "5", "--painter", "all-red", "--transcript", "{dir}/game.jsonl"),
+    "poset": ("--k", "3", "--t", "10", "--level", "2", "--out", "{dir}/poset.csv"),
+    "bound": ("--t", "5", "--out", "{dir}/bound.csv"),
+}
+
+
+def _int_domain_cases():
+    # command, option, least value, greatest value (None: unbounded) and
+    # values tried besides the two ends' neighbours and a non-number
+    domains = [
+        ("construct", "--k", 3, None, ["0"]),
+        ("alpha", "--seeds-per-n", 1, None, ["-2"]),
+        ("alpha", "--cap", 2, None, []),
+        ("steiner", "--t", 3, 300, []),
+        ("steiner", "--seeds", 1, None, ["-2"]),
+        ("threshold", "--n", 2, None, []),
+        ("game", "--t", 3, None, []),
+        ("game", "--safety-cap", 1, None, []),
+        ("poset", "--k", 3, None, ["-3"]),
+        ("poset", "--level", 1, None, []),
+        ("poset", "--cap", 1, None, []),
+        ("bound", "--t", 3, None, ["0", "-1"]),
+        ("bound", "--vertices", 1, None, []),
+        ("bound", "--red-edges", 0, None, []),
+        ("bound", "--total-edges", 0, None, []),
+    ]
+    for command, option, low, high, extra in domains:
+        top = "inf)" if high is None else f"{high}]"
+        outside = [str(low - 1)] + ([] if high is None else [str(high + 1)]) + extra
+        for value in outside:
+            yield command, option, value, f"{value} lies outside [{low}, {top}"
+        yield command, option, "x", "expected an integer, got 'x'"
+    for value in ("", ",", "x"):
+        message = f"expected comma-separated integers, got {value!r}"
+        yield "alpha", "--n-values", value, message
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    pytest.param(*case, id=f"{case[0]} {case[1]}={case[2]}") for case in _int_domain_cases()
+])
+def test_int_outside_domain_names_the_option(
+    tmp_path, monkeypatch, capsys, command, option, value, message
+):
+    monkeypatch.chdir(tmp_path)  # where game would write its counterexample
+    argv = [arg.format(dir=tmp_path) for arg in _DOMAIN_BASES[command]]
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, *argv, f"{option}={value}")
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -628,7 +651,8 @@ def test_env_seed_invalid(monkeypatch, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run_cli("construct", "--n", "5", "--out", str(tmp_path / "x.txt"))
     assert info.value.code == 2
-    capsys.readouterr()
+    assert "RAMSEY_SEED: expected an integer, got 'banana'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -10,7 +10,8 @@ from ramseykit.rng import (
     _BLOCK,
     MASK64,
     SplitMix64,
-    _block_words,
+    _block_lanes,
+    _unpack,
     check_seed,
     derive_seed,
     mix64,
@@ -165,7 +166,7 @@ def test_block_words_are_the_next_u64_stream(seed):
     rng = SplitMix64(seed)
     state = seed
     for count in (_BLOCK, _BLOCK, _BLOCK, 3):
-        words = _block_words(state, count)
+        words = _unpack(_block_lanes(state, count), count)
         assert list(words) == [rng.next_u64() for _ in range(count)]
         state = (state + count * GAMMA) & MASK64
 
