@@ -222,6 +222,10 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_poset(args) -> int:
+    if args.t <= args.k:
+        raise ValueError(
+            f"--t {args.t} must exceed --k {args.k}: level 1 has a chain of t-k elements"
+        )
     P = poset.build_J(args.level, args.t, args.k, cap=args.cap)
     witness = None
     if args.count_only:

@@ -33,14 +33,21 @@ period-1 component the walk stops as soon as it meets that component.
 Both read the digraph from one cached link table over bitmasks: each
 (k-1)-subset of an edge, as a vertex mask, maps to the mask of the
 vertices completing it.  The search walks on an explicit stack, so a
-length has no recursion limit.  Its last two steps are filtered by the
-windows that close the cycle.  Every window that wraps around holds the
-last vertex, so the closing vertices are the AND of those windows'
+length has no recursion limit.  Its last three steps are filtered by
+the windows that close the cycle.  Every window that wraps around holds
+the last vertex, so the closing vertices are the AND of those windows'
 links, and the lowest is the witness; the second last vertex must lie
-in the links of the last window's closers.  The filters drop only
-vertices on no closing path and the candidates are still taken in
-ascending order, so the search meets the closing paths in the order of
-the plain search and returns the same witness.
+in the links of the last window's closers, and for k >= 3 the third
+last in the links of the pairs of closers and second-last vertices.
+That third filter is built the first time a path reaches its depth, as
+most first windows never get there.  The mirror rule bounds the last
+k-1 vertices from below: with the anchor they form the first window of
+the reversed cycle, so one below the first window's second vertex would
+put that window earlier in ``H.edges``, where the search would already
+have returned.  The filters and the rule drop only paths that close no
+cycle before the first closing path, and the candidates are still taken
+in ascending order, so the search returns the witness of the plain
+search.
 
 The lengths a spectrum scans, 4 (k for k != 3) up to min(s_max, n), have
 one home, :func:`scanned_lengths`; :func:`cycle_witnesses` maps each to
@@ -343,7 +350,7 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     vertices completing a (k-1)-set in ascending order, as the edges are
     sorted.
 
-    The last two steps are filtered by the closing windows.  Each of the
+    The last three steps are filtered by the closing windows.  Each of the
     k-1 windows that wrap around holds v_{s-1}, so the vertices that close
     the path are the AND of the links of those windows less v_{s-1}, and
     the lowest of them is the witness.  The last window less v_{s-1} is
@@ -351,26 +358,48 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     window with Z empty is skipped.  The second last is v_{s-2}, v_{s-1},
     v_0..v_{k-3}, so v_{s-2} lies in Y, the OR of links[v_0..v_{k-3}, z]
     over z in Z, which narrows depth s-2 when that depth is free (a first
-    window whose Y holds no unvisited vertex is skipped).  The filters
-    drop only vertices that lie on no closing path, so the order of the
-    closing paths, and with it the witness, is that of the plain search.
+    window whose Y holds no unvisited vertex is skipped).  For k >= 3 the
+    third last is v_{s-3}, v_{s-2}, v_{s-1}, v_0..v_{k-4}, so depth s-3,
+    when free and past the first window, lies in the OR of
+    links[v_0..v_{k-4}, y, z] over z in Z and the unvisited y in
+    links[v_0..v_{k-3}, z]; it is built the first time the search reaches
+    depth s-3 with a candidate, as most first windows never get there.
+
+    The mirror rule: with m the least of v_1..v_{k-1}, every vertex at
+    positions s-k+1..s-1 exceeds m.  Those positions and v_0 form the
+    first window of the reversed cycle, which has the same anchor; a
+    vertex there below m would put that window earlier in ``H.edges``,
+    whose search would have returned a closing path already.  m is
+    ``first_window[1]``, so the mask is one shift a first window, not one
+    a permutation; it applies to Z, to Y when k >= 3 (at k = 2, v_{s-2}
+    is not in that window) and to the free depths from s-k+1 on.
+
+    Every filter drops only paths that close no cycle before the first
+    closing path, and the candidates are still taken in ascending order,
+    so the witness is that of the plain search.
     """
     k = H.k
     get = H._links().get
     last = s - 1
     narrow = s - 2 if s - 2 >= k else -1
+    third = s - 3 if k >= 3 and s - 3 >= k else -1
+    mirror = max(k, s - k + 1)  # the first free depth the mirror rule masks
     path = [0] * s
     keys = [0] * s
     cands = [0] * s
+    sieve = [-1] * s  # the mask on the candidates at each free depth
     for first_window in H.edges:
         anchor = first_window[0]
         whole = 0
         for v in first_window:
             whole |= 1 << v
         start = (2 << anchor) - 1 | whole  # the first window and every vertex below it
+        high = -(2 << first_window[1])  # the vertices above m
+        ahead = high & ~start
+        behind = ahead if k >= 3 else ~start  # where v_{s-2} may lie
         for perm in itertools.permutations(first_window[1:]):
             head = whole ^ 1 << perm[-1]
-            closers = get(head, 0) & ~start
+            closers = get(head, 0) & ahead
             if not closers:
                 continue
             visited = start
@@ -384,8 +413,13 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
                     low = z & -z
                     near |= get(base | low, 0)
                     z ^= low
-                if not near & ~visited:
+                near &= behind
+                if not near:
                     continue
+                sieve[narrow] = near
+                if mirror < narrow:
+                    sieve[mirror:narrow] = [high] * (narrow - mirror)
+                trio = -1  # the third closing filter, not yet built
             key = head ^ 1 << anchor | 1 << path[k - 1]
             d = k - 1
             while True:
@@ -393,20 +427,25 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
                     c = get(key, 0) & closers & ~visited
                     # each wraparound window less v_{s-1} is the one before
                     # it less its first vertex, plus the next from the front
-                    m = key
+                    window = key
                     for j in range(1, k - 1):
                         if not c:
                             break
-                        m ^= 1 << path[last - k + j] | 1 << path[j - 1]
-                        c &= get(m, 0)
+                        window ^= 1 << path[last - k + j] | 1 << path[j - 1]
+                        c &= get(window, 0)
                     if c:
                         path[last] = (c & -c).bit_length() - 1
                         return tuple(path)
                 else:
                     d += 1
                     keys[d] = key
-                    c = get(key, 0) & ~visited
-                    cands[d] = c & near if d == narrow else c
+                    c = get(key, 0) & ~visited & sieve[d]
+                    if d == third and c:
+                        if trio < 0:
+                            front = base ^ 1 << path[k - 3]  # v_0..v_{k-4}
+                            trio = _third_closers(get, closers, base, front, behind)
+                        c &= trio
+                    cands[d] = c
                 # advance to the next candidate, backtracking past exhausted depths
                 while d >= k and not cands[d]:
                     d -= 1
@@ -421,6 +460,22 @@ def _scan_cycles(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
                 path[d] = low.bit_length() - 1
                 key = keys[d] ^ 1 << path[d - k + 1] ^ low
     return None
+
+
+def _third_closers(get, closers: int, base: int, front: int, behind: int) -> int:
+    """The OR of links[front, y, z] over z in ``closers`` and y in
+    links[base, z] & ``behind``: where v_{s-3} may lie (front is
+    v_0..v_{k-4}, base is v_0..v_{k-3})."""
+    out = 0
+    while closers:
+        z = closers & -closers
+        closers ^= z
+        ys = get(base | z, 0) & behind
+        while ys:
+            y = ys & -ys
+            ys ^= y
+            out |= get(front | y | z, 0)
+    return out
 
 
 def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:

@@ -11,7 +11,9 @@ import itertools
 import math
 import operator
 import random
+import sys
 
+from ramseykit import hypergraph
 from ramseykit.game import BLUE, RED
 from ramseykit.hypergraph import Hypergraph
 from ramseykit.poset import Poset
@@ -107,6 +109,27 @@ def scan_cycles_by_tuple(H: Hypergraph, s: int) -> tuple[int, ...] | None:
         return None
     finally:
         extend = None  # break the closure's self-reference, a reference cycle
+
+
+def scan_link_reads(cells) -> int:
+    """The link-table reads of ``hypergraph._scan_cycles(H, s)`` over the
+    (H, s) cells: the C calls bound to ``H._links()``, seen by a profile hook."""
+    reads = 0
+    table = None
+
+    def count(frame, event, arg):
+        nonlocal reads
+        if event == "c_call" and getattr(arg, "__self__", None) is table:
+            reads += 1
+
+    for H, s in cells:
+        table = H._links()
+        sys.setprofile(count)
+        try:
+            hypergraph._scan_cycles(H, s)
+        finally:
+            sys.setprofile(None)
+    return reads
 
 
 def brute_spectrum(H: Hypergraph, s_max: int) -> set[int]:

@@ -463,6 +463,16 @@ def test_poset_antichain_witness(capsys):
                 assert len(lines[2][len(marker):].split()) == width
 
 
+@pytest.mark.parametrize("k, t", [(3, 3), (4, 3), (3, -1)])
+def test_poset_t_not_above_k_names_both_options(tmp_path, capsys, k, t):
+    out = tmp_path / "poset.csv"
+    assert run_cli("poset", "--k", str(k), "--t", str(t), "--level", "2", "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", f"ramseykit: --t {t} must exceed --k {k}: level 1 has a chain of t-k elements\n"
+    )
+    assert not out.exists()
+
+
 def test_poset_cap_exceeded_is_refused(capsys):
     assert run_cli("poset", "--k", "3", "--t", "30", "--level", "3",
                    "--cap", "10") == 2

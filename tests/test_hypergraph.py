@@ -16,6 +16,7 @@ from oracles import (
     random_hypergraph,
     reference_hosts,
     scan_cycles_by_tuple,
+    scan_link_reads,
 )
 from ramseykit import hypergraph
 from ramseykit.construction import build_h3, build_hk, mod_spectrum_report, sample_graph
@@ -184,10 +185,12 @@ def test_long_tight_cycle_is_found(k):
     assert _is_tight_cycle(H, witness)
 
 
-@pytest.mark.parametrize("k,n", [(3, 8), (4, 8), (5, 8)])
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 8), (4, 8), (5, 8)])
 def test_scan_matches_tuple_search(k, n):
-    # witness for witness: the closing-window filters drop only vertices on
-    # no closing path, so the first closing path is the tuple search's
+    # witness for witness: the closing-window filters and the mirror rule
+    # drop only paths that close no cycle before the first closing path, so
+    # that path is the tuple search's; at k = 2 the mirror rule reaches
+    # v_{s-1} alone
     found = 0
     for seed in range(10):
         H = random_hypergraph(k, n, seed, eighths=2 + seed % 6)
@@ -211,10 +214,11 @@ def test_scan_matches_tuple_search_on_edgeless_and_complete(k):
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("extra", [1, 2, 3])
 def test_scan_matches_tuple_search_at_the_shortest_lengths(k, extra):
     # s = k+1 closes right after the first window, with no free depth for
-    # the Y filter; at s = k+2 the Y filter narrows the first free depth
+    # the Y filter; at s = k+2 the Y filter narrows the first free depth,
+    # and at s = k+3 the third closing filter narrows it
     s = k + extra
     outcomes = set()
     for seed in range(24):
@@ -225,27 +229,39 @@ def test_scan_matches_tuple_search_at_the_shortest_lengths(k, extra):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_scan_matches_tuple_search_on_a_long_tight_cycle(k):
+    # Z is non-empty only at first windows through 0; at the last of them,
+    # walked backwards, the mirror rule empties it, as that walk is the
+    # mirror of the cycle from the first; only s = 40 closes
+    H = tight_cycle(k, 40)
+    for s in range(k + 1, 41):
+        witness = hypergraph._scan_cycles(H, s)
+        assert witness == scan_cycles_by_tuple(H, s), s
+    assert witness == tuple(range(40))
+
+
 def test_scan_link_reads_on_reference_hosts():
     # the tuple search ran 106,528 frames and read its completion table
     # 64,621 times on these 153 cells; the closing-window filters cut the
-    # link-table reads to 44,429
-    hosts = reference_hosts()
-    tables = [H._links() for H in hosts]
-    reads = 0
+    # link-table reads to 44,429, and the mirror rule and the third closing
+    # filter to 34,969
+    cells = [(H, s) for H in reference_hosts() for s in range(4, 13)]
+    assert scan_link_reads(cells) <= 38_500
 
-    def count(frame, event, arg):
-        nonlocal reads
-        if event == "c_call" and getattr(arg, "__self__", None) is table:
-            reads += 1
 
-    for H, table in zip(hosts, tables):
-        sys.setprofile(count)
-        try:
-            for s in range(4, 13):
-                hypergraph._scan_cycles(H, s)
-        finally:
-            sys.setprofile(None)
-    assert reads <= 50_000
+def test_scan_link_reads_on_lifts():
+    # the 32 lengths of the digest lifts that the period certificate admits:
+    # the closing-window filters read the link table 25,415 times, the
+    # mirror rule and the third closing filter 19,276; building the third
+    # filter for every first window, not on first use, reads 29,790
+    cells = []
+    for k, n in WITNESS_LIFT_CELLS:
+        for i in range(4):
+            H = build_hk(sample_graph(k - 1, n, derive_seed(0, n, i)), k)
+            cells += [(H, s) for s in range(k + 1, min(12, n) + 1) if H._admits(s)]
+    assert len(cells) == 32
+    assert scan_link_reads(cells) <= 21_200
 
 
 def test_cycle_edge_cases():
