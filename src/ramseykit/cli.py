@@ -317,6 +317,19 @@ def _float_in(low: float, high: float, *, open_low: bool = False):
 _seed = _int_in(0, MASK64)
 
 
+def _out_path(text: str) -> str:
+    """An argparse type: a file path whose directory exists, so that an
+    output the run cannot write is refused before the run."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no directory {parent!r} for {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseykit",
@@ -329,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=_int_in(3), default=3)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=_cmd_construct, needs_seed=True)
 
     p = sub.add_parser("check-cycles", help="scan a file for short tight cycles")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--max-s", type=int, required=True)
-    p.add_argument("--counterexample-out", default=None)
+    p.add_argument("--counterexample-out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_check_cycles)
 
     p = sub.add_parser("alpha", help="exact independence numbers of random lifts")
@@ -343,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-n", type=_int_in(1), default=30)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--cap", type=_int_in(2), default=64)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_alpha, needs_seed=True)
 
     p = sub.add_parser("steiner", help="randomized greedy partial triple systems")
@@ -353,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=_int_in(1), default=10)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--packing-out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
+    p.add_argument("--packing-out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_steiner, needs_seed=True)
 
     p = sub.add_parser("threshold", help="union-bound clique threshold per order")
     p.add_argument("--n", type=_int_in(2), nargs="+", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("game", help="play one building game against a painter")
@@ -372,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--p-red", type=_float_in(0.0, 1.0), default=0.5)
     p.add_argument("--safety-cap", type=_int_in(1), default=10000)
-    p.add_argument("--transcript", default=None)
+    p.add_argument("--transcript", type=_out_path, default=None)
     p.set_defaults(func=_cmd_game, needs_seed=True)
 
     p = sub.add_parser("game-verify", help="exhaust every painter reply tree")
     p.add_argument("--t", type=int, required=True, choices=[3, 4, 5])
-    p.add_argument("--out", default=None)
-    p.add_argument("--counterexample-out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
+    p.add_argument("--counterexample-out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_game_verify)
 
     p = sub.add_parser("hom", help="per-edge-injective homomorphism search")
@@ -393,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--antichain", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--cap", type=_int_in(1), default=poset.DEFAULT_IDEAL_CAP)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("bound", help="evaluate the log2 upper-bound certificate")
@@ -402,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=_int_in(1), default=None)
     p.add_argument("--red-edges", type=_int_in(0), default=None)
     p.add_argument("--total-edges", type=_int_in(0), default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_bound)
 
     return parser

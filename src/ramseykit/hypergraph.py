@@ -56,11 +56,15 @@ its witness or None, and every spectrum is read off that map.
 The independence number comes from one bitmask branch and bound for
 every k: choosing the vertex v blocks the open w of each edge in which w
 is the largest vertex, v the second largest and the rest already chosen,
-and each node keeps these blocked masks as conflict rows built from rows
-cached per chosen vertex.  Its bounds are Östergård's Russian doll (the
-independence numbers of the vertex suffixes, solved from the last vertex
-back) and a greedy clique cover of the conflict graph on the open pool,
-both read for a child in its parent before the child is built.
+and each node keeps these blocked pairs, filed in both directions, as
+conflict rows built from rows cached per chosen vertex.  Its bounds are
+Östergård's Russian doll (the independence numbers of the vertex
+suffixes, solved from the last vertex back) and a greedy clique cover of
+the conflict graph on the open pool, both read for a child in its parent
+before the child is built.  The cover is built from the top down: each
+class starts at the highest uncovered vertex, which is then its largest
+member, so the classes started at or above a vertex cover the pool's
+suffix from it on their own, and their count bounds that suffix.
 
 Each input is checked once.  ``Hypergraph(k, n, edges)`` sorts and
 checks every edge it is given and drops repeats.  The package's own
@@ -487,35 +491,44 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
     open w iff some edge has w as its largest vertex, v as its second
     largest, and all its other vertices chosen.  Each edge is filed under
     its third-largest vertex a with the mask of its vertices below a; when
-    a is chosen it contributes a row, ``row[v]`` being the mask of the w of
-    its filed edges whose lower vertices are all chosen.  Those lower
-    vertices are decided before a and stay fixed while a is chosen, so the
-    row is cached on the chosen part of the mask of lower vertices a's
-    edges name: at k=3 that part is empty and each vertex has one fixed
-    row.  At k=2 an edge blocks its larger vertex once its smaller one is
-    chosen, so the edges form one base row that is always in force.
+    a is chosen it contributes a row: for each filed edge whose lower
+    vertices are all chosen, ``row[v]`` gets w and ``row[w]`` gets v.
+    Those lower vertices are decided before a and stay fixed while a is
+    chosen, so the row is cached on the chosen part of the mask of lower
+    vertices a's edges name: at k=3 that part is empty and each vertex has
+    one fixed row.  At k=2 an edge blocks its larger vertex once its
+    smaller one is chosen, so the edges form one base row, filed both ways
+    too, that is always in force.
 
     Each node keeps the conflict rows ``conf``, the union of the base row
     and the rows of its chosen vertices: ``conf[x]`` is the mask of the
-    w > x that cannot join x, given the chosen set, because some edge
+    open w that cannot join x, given the chosen set, because some edge
     consists of x, w and chosen vertices.  A child ORs the row of its
     branch vertex into its parent's list, and the vertices blocked by
-    choosing v are just ``conf[v]``.
+    choosing v are those of ``conf[v]`` in the pool, which holds only
+    vertices above v.
 
     The bound is Östergård's (2002): c[i] is alpha of the labels i..n-1,
     solved from n-1 down.  Suffix i only asks for a set containing i that
     beats c[i+1], which is the most it can do since c[i] <= c[i+1] + 1, and
     it stops at the first one.  On top of it each node covers its open
     pool by greedy cliques of the conflict graph (the MCQ/BBMC colouring
-    bound of Tomita and of San Segundo): a class starts at the lowest
-    uncovered vertex and keeps adding the lowest uncovered vertex in the
-    ``conf`` of every member so far.  Upward adjacency is enough, since a
-    member is in the ``conf`` of each earlier, lower member, so every two
-    members conflict.  An independent extension holds at most one vertex
-    of a class, and inside the pool's suffix from v only the classes whose
-    largest member is at least v can contribute.  A node with d chosen
-    vertices and lowest open label v is pruned when d + c[v] or d plus the
-    number of those classes is at most the best.
+    bound of Tomita and of San Segundo), from the top down: a class starts
+    at the highest uncovered vertex, its founder, and keeps adding the
+    highest uncovered vertex in the ``conf`` of every member so far, so
+    every two members conflict.  Each member joins below the ones before
+    it, so a class's founder is its largest member; and as the class grows
+    downward it reads the conflicts of each member with lower vertices,
+    which is why every blocked pair is filed in both directions.  An
+    independent extension holds at most one vertex of a class.  The
+    classes that meet the pool's suffix from v are exactly those founded at
+    or above v: a class founded below v lies wholly below it, and each
+    vertex of the suffix lies in a class whose founder is at least that
+    vertex.  So those classes are a clique cover of the suffix by itself,
+    and their number, ``(tops >> v).bit_count()`` over the mask ``tops``
+    of founders, bounds what the suffix can add.  A node with d chosen
+    vertices and lowest open label v is pruned when d + c[v] or d plus
+    that number is at most the best.
 
     A child's first check is read in its parent, before the child is
     built.  Its pool is ``sub = pool & ~conf[v]``; the parent tests c at
@@ -544,6 +557,7 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
         *lower, v, w = sorted(rank[u] for u in e)
         if not lower:
             base[v] |= 1 << w
+            base[w] |= 1 << v
             continue
         a = lower.pop()
         below = sum(1 << u for u in lower)
@@ -554,7 +568,8 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
     best = 0
 
     def cover(pool: int, conf: list[int], row: list[int], room: int) -> int:
-        """The class tops of pool's greedy clique cover under ``conf | row``.
+        """The class founders of pool's top-down greedy clique cover under
+        ``conf | row``, as one mask.
 
         Returns 0 as soon as the classes found plus the vertices still
         uncovered are at most ``room``, since the cover can then not beat it.
@@ -564,23 +579,22 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
         while left.bit_count() > room:
             if not left:
                 return tops
-            low = left & -left
-            left ^= low
-            x = low.bit_length() - 1
+            x = left.bit_length() - 1
+            top = 1 << x
+            tops |= top
+            left ^= top
             cand = (conf[x] | row[x]) & left
             while cand:
-                low = cand & -cand
-                left ^= low
-                x = low.bit_length() - 1
+                x = cand.bit_length() - 1
+                left ^= 1 << x
                 cand &= conf[x] | row[x]
-            tops |= low
             room -= 1  # so the loop test reads classes + uncovered > room
         return 0
 
     def grow(pool: int, chosen: int, depth: int, conf: list[int], tops: int) -> bool:
         """Look for an independent set of size best+1; True once found.
 
-        ``tops`` are the class tops of the pool's cover, found by the parent.
+        ``tops`` are the class founders of the pool's cover, found by the parent.
         """
         nonlocal best
         room = best - depth
@@ -600,6 +614,7 @@ def independence_number_exact(H: Hypergraph, cap: int = 64) -> int:
                 for below, x, w in filed[v]:
                     if below & key == below:
                         row[x] |= 1 << w
+                        row[w] |= 1 << x
             sub = pool & ~conf[v]
             if not sub or c[(sub & -sub).bit_length() - 1] < room:
                 continue

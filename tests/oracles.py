@@ -132,6 +132,26 @@ def scan_link_reads(cells) -> int:
     return reads
 
 
+def alpha_search_calls(H: Hypergraph) -> tuple[int, int]:
+    """The ``grow`` and ``cover`` calls of
+    ``hypergraph.independence_number_exact(H)``: the search frames and the
+    clique covers it builds, seen by a profile hook."""
+    calls = {"grow": 0, "cover": 0}
+    source = hypergraph.independence_number_exact.__code__.co_filename
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in calls and code.co_filename == source:
+            calls[code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        hypergraph.independence_number_exact(H)
+    finally:
+        sys.setprofile(None)
+    return calls["grow"], calls["cover"]
+
+
 def brute_spectrum(H: Hypergraph, s_max: int) -> set[int]:
     lo = 4 if H.k == 3 else H.k
     out = set()

@@ -7,6 +7,7 @@ runs of the stated formulas and stay byte-stable under the default
 seeding scheme.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -15,6 +16,7 @@ import pytest
 
 from ramseykit.construction import (
     alpha_experiment,
+    alpha_rows_to_csv,
     build_h3,
     build_hk,
     greedy_steiner_packing,
@@ -46,6 +48,10 @@ RATIO_CEILING = 2.75          # max alpha / log2(n) over the standard grid
 THRESHOLD_BAND = (14.0, 28.0)  # t(n)/log2(n) stays in this x2 band
 STEINER_BEST = {15: 33, 21: 66, 33: 170, 51: 411, 99: 1580}
 BOUND_COEFF = 3.2             # log2 certificate <= this * t^2 * log2(t)
+# SHA-256 of alpha_rows_to_csv over the standard grid (n = 16, 32, 64, 30
+# seeds each, base seed 0), the README's alpha example, frozen from the
+# bottom-up clique-cover search
+ALPHA_GRID_CSV_SHA256 = "971b0799e66c857953e48f9c7b3592d85f307d6db2e59ed360687f2588ee2d29"
 
 T3_WORST = (4, 5, 5)
 T3_BRANCHES = 6
@@ -186,6 +192,8 @@ def test_criterion_06_independence_scaling(capsys):
         mean16 = sum(r.alpha for r in rows if r.n == 16) / 30
         mean64 = sum(r.alpha for r in rows if r.n == 64) / 30
         ok = ok and mean64 < 4 * mean16
+        csv = alpha_rows_to_csv(rows).encode()
+        ok = ok and hashlib.sha256(csv).hexdigest() == ALPHA_GRID_CSV_SHA256
     ok = ok and time.time() - started < 600
     assert _verdict(
         capsys, 6, "independence number scaling", ok, started,

@@ -636,6 +636,57 @@ def test_int_outside_domain_names_the_option(
     assert list(tmp_path.iterdir()) == []
 
 
+# every output option, each with the required options of its subcommand
+# (outputs in {dir}; check-cycles' input is never read, as parsing stops first)
+_OUTPUT_CASES = [
+    (command, "--out") for command in _DOMAIN_BASES if command != "game"
+] + [
+    ("steiner", "--packing-out"),
+    ("game", "--transcript"),
+    ("game-verify", "--out"),
+    ("game-verify", "--counterexample-out"),
+    ("check-cycles", "--counterexample-out"),
+]
+_OUTPUT_BASES = {
+    **_DOMAIN_BASES,
+    "game-verify": ("--t", "3", "--out", "{dir}/verify.csv"),
+    "check-cycles": ("--in", "{dir}/h.txt", "--max-s", "6"),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(*case, id=" ".join(case)) for case in _OUTPUT_CASES
+])
+def test_output_in_missing_directory_names_the_option(
+    tmp_path, monkeypatch, capsys, command, option
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(dir=tmp_path) for arg in _OUTPUT_BASES[command]]
+    target = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, *argv, f"{option}={target}")
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: no directory '{target.parent}' for '{target}'" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, message", [
+    ("", "expected a file path, got ''"),
+    ("{dir}", "'{dir}' is a directory"),
+])
+def test_output_that_names_no_file_is_refused(tmp_path, capsys, value, message):
+    with pytest.raises(SystemExit) as info:
+        run_cli("threshold", "--n", "1000", f"--out={value.format(dir=tmp_path)}")
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --out: {message.format(dir=tmp_path)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, line", [
     (("game", "--t", "5", "--painter", "random", "--seed", "3", "--p-red", "1"),
      "t=5 outcome=RedK4Minus vertices_used=4 red_edges=5 total_edges=5\n"),
@@ -692,6 +743,17 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1000,148,")
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramseykit", "--help"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ramseykit ")
 
 
 def test_import_loads_no_third_party_numerics():

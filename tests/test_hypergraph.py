@@ -1,11 +1,11 @@
 import gc
 import hashlib
 import itertools
-import sys
 
 import pytest
 
 from oracles import (
+    alpha_search_calls,
     brute_alpha,
     brute_has_tight_cycle,
     brute_periods,
@@ -472,6 +472,27 @@ def test_exact_alpha_matches_brute():
         assert independence_number_exact(H) == brute_alpha(H), seed
 
 
+@pytest.mark.parametrize("k, n, densities", [
+    # k = 2: the base row holds both directions of each edge
+    pytest.param(2, 11, range(1, 8), id="2-11"),
+    pytest.param(2, 12, range(1, 8), id="2-12"),
+    # k = 4, 5: rows cached per chosen-lower-vertex key
+    pytest.param(4, 11, range(2, 8), id="4-11"),
+    pytest.param(4, 12, range(2, 8), id="4-12"),
+    pytest.param(5, 11, range(3, 8), id="5-11"),
+    pytest.param(5, 12, range(3, 8), id="5-12"),
+    # dense k = 3: long clique-cover classes
+    pytest.param(3, 12, (6, 7), id="3-12-dense"),
+])
+def test_exact_alpha_matches_brute_on_two_way_rows(k, n, densities):
+    # the top-down cover grows a class through conflicts with lower
+    # vertices, so it reads each blocked pair in both directions
+    for eighths in densities:
+        for seed in range(2):
+            H = random_hypergraph(k, n, 1000 * k + 100 * n + 10 * eighths + seed, eighths)
+            assert independence_number_exact(H) == brute_alpha(H), (eighths, seed)
+
+
 # SHA-256 of "k n i alpha" lines for the lifts of sample_graph(k-1, n,
 # derive_seed(0, n, i)), frozen from the earlier k=3 link-row search and
 # set-based k>=4 search
@@ -541,22 +562,21 @@ def test_exact_alpha_search_nodes_on_reference_lift():
     # the clique-cover bound cut the k=3 n=64 reference lift from 290,690
     # search nodes (suffix bound and pool size only) to 23,402; reading each
     # child's suffix and cover bounds in its parent, before the child is
-    # built, cut the grow frames to 3,619 (with 23,261 covers computed)
-    H = build_h3(sample_graph(2, 64, derive_seed(0, 64, 0)))
-    nodes = 0
-
-    def count(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "grow":
-            nodes += 1
-
-    sys.setprofile(count)
-    try:
-        alpha = independence_number_exact(H)
-    finally:
-        sys.setprofile(None)
-    assert alpha == 15
-    assert nodes <= 6_000
+    # built, cut the grow frames to 3,619 (with 23,261 covers computed);
+    # covering the pool from the top down cut them to 3,115 frames and
+    # 12,675 covers
+    G = sample_graph(2, 64, derive_seed(0, 64, 0))
+    H = build_h3(G)
+    frames, covers = alpha_search_calls(H)
+    assert frames <= 3_430
+    assert covers <= 14_000
+    assert independence_number_exact(H) == 15
+    # its k=2 source, whose one base row must hold both directions of each
+    # edge: 124 frames and 346 covers bottom-up, 108 and 239 top-down, and
+    # 480 and 1,059 top-down over a base row filed upward only
+    frames, covers = alpha_search_calls(G)
+    assert frames <= 120
+    assert covers <= 265
 
 
 @pytest.mark.parametrize("search", ["alpha", "cycles"])
