@@ -126,20 +126,18 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _make_painter(args):
-    if args.painter == "all-red":
-        return game.all_red()
-    if args.painter == "all-blue":
-        return game.all_blue()
-    if args.painter == "greedy":
-        return game.greedy_saver()
-    if args.painter == "random":
-        return game.random_painter(args.seed, p_red=args.p_red)
-    return game.interactive(sys.stdin, sys.stdout)
+# each --painter choice, in its --help order, and how it is made from the args
+_PAINTERS = {
+    "all-red": lambda args: game.all_red(),
+    "all-blue": lambda args: game.all_blue(),
+    "random": lambda args: game.random_painter(args.seed, p_red=args.p_red),
+    "greedy": lambda args: game.greedy_saver(),
+    "interactive": lambda args: game.interactive(sys.stdin, sys.stdout),
+}
 
 
 def _cmd_game(args) -> int:
-    painter = _make_painter(args)
+    painter = _PAINTERS[args.painter](args)
     try:
         stats, transcript = game.run_game(args.t, painter, safety_cap=args.safety_cap)
     except game.GameAborted as abort:
@@ -330,6 +328,15 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _in_path(text: str) -> str:
+    """An argparse type: an existing file, so that an input the run cannot
+    read is refused before the run."""
+    if not os.path.isfile(text):
+        why = "is a directory" if os.path.isdir(text) else "names no file"
+        raise argparse.ArgumentTypeError(f"{text!r} {why}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseykit",
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct, needs_seed=True)
 
     p = sub.add_parser("check-cycles", help="scan a file for short tight cycles")
-    p.add_argument("--in", dest="path", required=True)
+    p.add_argument("--in", dest="path", type=_in_path, required=True)
     p.add_argument("--max-s", type=int, required=True)
     p.add_argument("--counterexample-out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_check_cycles)
@@ -377,11 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="play one building game against a painter")
     p.add_argument("--t", type=_int_in(3), required=True)
-    p.add_argument(
-        "--painter",
-        choices=["all-red", "all-blue", "random", "greedy", "interactive"],
-        required=True,
-    )
+    p.add_argument("--painter", choices=list(_PAINTERS), required=True)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--p-red", type=_float_in(0.0, 1.0), default=0.5)
     p.add_argument("--safety-cap", type=_int_in(1), default=10000)
@@ -403,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_in(3), required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--level", type=_int_in(1), required=True)
-    p.add_argument("--antichain", action="store_true")
-    p.add_argument("--count-only", action="store_true")
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--antichain", action="store_true")
+    shown.add_argument("--count-only", action="store_true")
     p.add_argument("--cap", type=_int_in(1), default=poset.DEFAULT_IDEAL_CAP)
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=_cmd_poset)

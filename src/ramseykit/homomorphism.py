@@ -15,8 +15,9 @@ period therefore divides the F component's period; when some period of
 F is a multiple of no period of G, no homomorphism exists.  For k = 2
 this is the rule that an odd cycle maps into no bipartite graph.  The
 test on G is the one tight-cycle lengths get, ``G._admits(q)`` for each
-period q of F, so G's period walk may stop early on a q it admits.
-Otherwise ``None`` comes from the exhaustive backtracking search.
+period q of F, so G's period walk may pause on a q it admits.
+Otherwise ``None`` comes from the exhaustive backtracking search, which
+keeps its place in data, not in recursion, so F meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -131,36 +132,33 @@ def exists_homomorphism(F: Hypergraph, G: Hypergraph) -> Optional[VertexMapping]
     for e in F.edges:
         check_at[max(position[u] for u in e)].append(e)
 
-    phi: dict[int, int] = {}
-    load = Counter()
-
+    phi = [0] * F.n
+    load = [0] * G.n
     has_edge = G.has_edge
-
-    def feasible(i: int) -> bool:
-        for e in check_at[i]:
-            if not has_edge(*[phi[u] for u in e]):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    # depth i tries the images cands[i], sorted by load when the depth is
+    # entered (stably, so in ascending (load, vertex) order; every load is 0
+    # at depth 0), and cursor[i] counts those tried
+    cands: list = [range(G.n)] * F.n
+    cursor = [0] * F.n
+    i = 0
+    while i >= 0:
         u = order[i]
-        for target in sorted(range(G.n), key=lambda g: (load[g], g)):
-            phi[u] = target
-            load[target] += 1
-            if feasible(i) and extend(i + 1):
-                return True
-            load[target] -= 1
-            del phi[u]
-        return False
-
-    try:
-        if extend(0):
-            return tuple(phi[u] for u in range(F.n))
-        return None
-    finally:
-        extend = None  # break the closure's self-reference, a reference cycle
+        c = cursor[i]
+        if c:  # take back the image tried last at this depth
+            load[phi[u]] -= 1
+        if c == G.n:
+            i -= 1
+            continue
+        cursor[i] = c + 1
+        target = phi[u] = cands[i][c]
+        load[target] += 1
+        if all(has_edge(*[phi[x] for x in e]) for e in check_at[i]):
+            i += 1
+            if i == F.n:
+                return tuple(phi)
+            cands[i] = sorted(range(G.n), key=load.__getitem__)
+            cursor[i] = 0
+    return None
 
 
 def embeds_in_blowup(
@@ -176,7 +174,4 @@ def embeds_in_blowup(
     phi = exists_homomorphism(F, G)
     if phi is None:
         return None
-    if not phi:
-        return (1, phi)
-    fibers = Counter(phi)
-    return (max(fibers.values()), phi)
+    return (max(Counter(phi).values(), default=1), phi)

@@ -23,12 +23,12 @@ depth s; it stops at the first closing path, which is the witness.
 The certificate is asked one question, ``Hypergraph._admits(s)``: does
 some period divide s?  A component's period is the gcd of k and of the
 level differences along its arcs, and while the component is walked its
-running gcd is a multiple of that period.  So the first running gcd that
-divides s admits s, and the walk stops there; the gcd is kept, and a
-later length it divides is admitted without a walk.  Only a walk that
-runs to the end stores the period set, and it is the only way a length
-is refused, so "absent" keeps its certificate.  On a host with a
-period-1 component the walk stops as soon as it meets that component.
+running gcd is a multiple of that period, so a running gcd dividing s
+admits s.  Each hypergraph has one period walk, started on first use,
+that records the gcds it meets; ``_admits(s)`` checks those and
+otherwise resumes the walk until a new one divides s.  Only a walk that
+has ended refuses a length, so "absent" keeps its certificate, and no
+node is walked twice, whatever the order of the lengths asked.
 
 Both read the digraph from one cached link table over bitmasks: each
 (k-1)-subset of an edge, as a vertex mask, maps to the mask of the
@@ -88,7 +88,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import or_
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class Hypergraph:
@@ -100,10 +100,7 @@ class Hypergraph:
     end in ``_store``, which checks k and n and sorts the edges.
     """
 
-    __slots__ = (
-        "k", "n", "edges", "_edge_set", "_links_cache", "_periods_cache",
-        "_admit_gcd",
-    )
+    __slots__ = ("k", "n", "edges", "_edge_set", "_links_cache", "_walk", "_gcds", "_periods")
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
         self._store(k, n, _checked_edges(k, n, edges))
@@ -127,8 +124,9 @@ class Hypergraph:
         self.edges = tuple(sorted(edges))
         self._edge_set = frozenset(self.edges)
         self._links_cache = None
-        self._periods_cache = None
-        self._admit_gcd = 0
+        self._walk = None  # the period walk, started by _resume
+        self._gcds: set[int] = set()  # every running gcd the walk has met
+        self._periods: set[int] = set()  # the period of each component it has ended
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -140,6 +138,9 @@ class Hypergraph:
 
     def __hash__(self) -> int:
         return hash((self.k, self.n, self._edge_set))
+
+    def __reduce__(self):  # a copy starts with empty caches, its period walk unstarted
+        return type(self)._from_canonical, (self.k, self.n, self.edges)
 
     def __repr__(self) -> str:
         return f"Hypergraph(k={self.k}, n={self.n}, edges={len(self.edges)})"
@@ -179,85 +180,84 @@ class Hypergraph:
         the out-arcs of a node u with vertex mask m go to u[1:] + (w,) for
         each bit w of ``_links()[m]``.  Every period divides k, because the
         k rotations of one ordered edge form a closed walk.  A tight cycle
-        of length s >= k+1 needs a period dividing s.
-
-        Every arc lies on that closed walk, so the strongly connected
-        components are exactly the sets reached by a breadth-first search
-        from a not yet visited node.  A component's period is the gcd of
-        k and of level[u] + 1 - level[v] over its arcs u -> v (Denardo
-        1977; k adds nothing, as the period divides it).  The search goes
-        one level at a time, each node queued with its mask.  Its roots are
-        the orderings of e less its largest vertex, for each edge e: the
-        closed walk through an ordering of e passes one of them, so every
-        component holds a root.  The set is cached; ``_admits`` runs the
-        same walk for one length and may stop before it ends.
+        of length s >= k+1 needs a period dividing s.  Runs the period walk
+        (see :func:`_period_walk`) to its end.
         """
-        if self._periods_cache is None:
-            self._walk_periods(0)
-        return self._periods_cache
+        for _ in self._resume():
+            pass
+        return frozenset(self._periods)
 
     def _admits(self, s: int) -> bool:
-        """True iff some component period divides s (s >= 1).
-
-        Reads the cached period set if there is one.  Otherwise the running
-        gcd kept by an earlier walk that stopped early, or a new walk, may
-        admit s; a walk that ends instead has cached the set, which is read.
-        """
-        if self._periods_cache is None:
-            kept = self._admit_gcd
-            if kept and s % kept == 0 or self._walk_periods(s):
+        """True iff some component period divides s (s >= 1): some gcd the
+        walk has met, or meets as it resumes, divides s.  A walk that ends
+        has met every period, so s is refused only then."""
+        for g in self._gcds:
+            if not s % g:
                 return True
-        return any(s % p == 0 for p in self._periods_cache)
-
-    def _walk_periods(self, s: int) -> bool:
-        """The period walk of ``periods``; True once a running gcd divides s.
-
-        While a component is walked, its running gcd (from k down) is a
-        multiple of the component's final period, so the first running gcd
-        that divides s proves that a period divides s: the walk keeps that
-        gcd in ``_admit_gcd`` and stops.  A walk that ends caches the
-        period set and returns False; s = 0 never stops it.
-        """
-        k = self.k
-        links = self._links()
-        periods = set()
-        level: dict[tuple[int, ...], int] = {}
-        for e in self.edges:
-            for root in itertools.permutations(e[:-1]):
-                if root in level:
-                    continue
-                period = k  # the running gcd starts at k, which the period divides
-                if s and not s % period:
-                    self._admit_gcd = period
-                    return True
-                level[root] = depth = 0
-                frontier = [(root, sum(1 << v for v in root))]
-                while frontier:
-                    depth += 1
-                    queue = frontier
-                    frontier = []
-                    for u, mask in queue:
-                        head = u[1:]
-                        head_mask = mask ^ 1 << u[0]
-                        c = links[mask]
-                        while c:
-                            low = c & -c
-                            c ^= low
-                            v = head + (low.bit_length() - 1,)
-                            seen = level.get(v)
-                            if seen is None:
-                                level[v] = depth
-                                frontier.append((v, head_mask | low))
-                            elif seen != depth:
-                                g = math.gcd(period, depth - seen)
-                                if g != period:
-                                    period = g
-                                    if s and not s % g:
-                                        self._admit_gcd = g
-                                        return True
-                periods.add(period)
-        self._periods_cache = frozenset(periods)
+        for g in self._resume():
+            if not s % g:
+                return True
         return False
+
+    def _resume(self) -> Iterator[int]:
+        """The period walk, started on first use."""
+        if self._walk is None:
+            links = self._links()
+            self._walk = _period_walk(self.k, self.edges, links, self._gcds, self._periods)
+        return self._walk
+
+
+def _period_walk(k: int, edges, links: dict, gcds: set, periods: set) -> Iterator[int]:
+    """The period walk over ``links``: each running gcd it meets goes into
+    ``gcds``, yielded if new, and each component's period into ``periods``.
+
+    Every arc lies on the closed walk of the rotations of its ordered
+    edge, so the strongly connected components are exactly the sets
+    reached by a breadth-first search from a not yet visited node.  A
+    component's period is the gcd of k and of level[u] + 1 - level[v]
+    over its arcs u -> v (Denardo 1977); its running gcd starts at k,
+    which the period divides.  The search goes one level at a time, each
+    node queued with its mask, from the orderings of e less its largest
+    vertex for each edge e: the closed walk through an ordering of e
+    passes one of them.  Paused, the walk keeps its levels and frontier;
+    it holds no reference to its hypergraph, so the two form no reference
+    cycle, and like any generator it is not for two threads at once.
+    """
+    level: dict[tuple[int, ...], int] = {}
+    for e in edges:
+        for root in itertools.permutations(e[:-1]):
+            if root in level:
+                continue
+            period = k
+            if k not in gcds:
+                gcds.add(k)
+                yield k
+            level[root] = depth = 0
+            frontier = [(root, sum(1 << v for v in root))]
+            while frontier:
+                depth += 1
+                queue = frontier
+                frontier = []
+                for u, mask in queue:
+                    head = u[1:]
+                    head_mask = mask ^ 1 << u[0]
+                    c = links[mask]
+                    while c:
+                        low = c & -c
+                        c ^= low
+                        v = head + (low.bit_length() - 1,)
+                        seen = level.get(v)
+                        if seen is None:
+                            level[v] = depth
+                            frontier.append((v, head_mask | low))
+                        elif seen != depth:
+                            g = math.gcd(period, depth - seen)
+                            if g != period:
+                                period = g
+                                if g not in gcds:
+                                    gcds.add(g)
+                                    yield g
+            periods.add(period)
 
 
 def _checked_edges(k: int, n: int, edges: Iterable[Iterable[int]]):
@@ -298,7 +298,7 @@ def find_tight_cycle(H: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     s > n (None), None comes from the period certificate when no period
     of ``H.periods()`` divides s, and otherwise from the tight-path search
     bounded at depth s, whose first closing path is the witness.  The
-    certificate is read through ``H._admits(s)``, whose period walk stops
+    certificate is read through ``H._admits(s)``, whose period walk pauses
     at the first running gcd that divides s: that gcd is a multiple of
     some component's period, so that period divides s too.
     """
@@ -319,8 +319,8 @@ def contains_tight_cycle(H: Hypergraph, s: int) -> bool:
 
     False is proved by the period certificate when no component period of
     ``H.periods()`` divides s, and otherwise by the exhaustive search.  A
-    False from the certificate walks the whole digraph and caches the
-    period set; a True may leave it uncached (see ``find_tight_cycle``).
+    False from the certificate has run the period walk to its end; a True
+    may leave it paused (see ``find_tight_cycle``).
     """
     return find_tight_cycle(H, s) is not None
 

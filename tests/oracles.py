@@ -79,7 +79,7 @@ def scan_cycles_by_tuple(H: Hypergraph, s: int) -> tuple[int, ...] | None:
     """
     k = H.k
     comp = completions(H)
-    edge_set = H._edge_set
+    edge_set = set(H.edges)
     path = [0] * s
 
     def extend(depth: int, visited: int) -> bool:

@@ -162,10 +162,20 @@ def test_check_cycles_too_few_vertices_is_usage_error(tmp_path, capsys, k, n, ed
     assert "PASS" not in captured.err
 
 
-def test_check_cycles_missing_file_is_usage_error(tmp_path, capsys):
-    code = run_cli("check-cycles", "--in", str(tmp_path / "nope.txt"), "--max-s", "6")
-    assert code == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("name, message", [
+    ("nope.txt", "'{path}' names no file"),
+    ("", "'{path}' is a directory"),
+], ids=["missing", "directory"])
+def test_check_cycles_input_that_names_no_file_is_refused(tmp_path, capsys, name, message):
+    path = os.path.join(tmp_path, name)
+    with pytest.raises(SystemExit) as info:
+        run_cli("check-cycles", "--in", path, "--max-s", "6")
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --in: {message.format(path=path)}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +405,15 @@ def test_hom_witness_revalidates(capsys):
     assert validate_homomorphism(tight_cycle(3, 7), complete(3, 4), phi)
 
 
+def test_hom_long_cycle(capsys):
+    # 1,100 search depths, past the recursion limit
+    assert run_cli("hom", "--from", "cycle:1100", "--to", "clique:4") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    phi = tuple(int(x) for x in out.split())
+    assert validate_homomorphism(tight_cycle(3, 1100), complete(3, 4), phi)
+
+
 def test_hom_file_source(tmp_path, capsys):
     path = tmp_path / "c6.txt"
     save(tight_cycle(3, 6), path)
@@ -443,6 +462,18 @@ def test_poset_count_only(capsys):
     assert run_cli("poset", "--k", "3", "--t", "10", "--level", "2", "--count-only") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "3,10,2,16,"
+
+
+def test_poset_antichain_with_count_only_is_refused(tmp_path, capsys):
+    out = tmp_path / "poset.csv"
+    argv = ("--k", "3", "--t", "10", "--level", "2", "--out", str(out))
+    with pytest.raises(SystemExit) as info:
+        run_cli("poset", *argv, "--antichain", "--count-only")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --count-only: not allowed with argument --antichain" in captured.err
+    assert not out.exists()
 
 
 def test_poset_antichain_witness(capsys):
@@ -637,7 +668,8 @@ def test_int_outside_domain_names_the_option(
 
 
 # every output option, each with the required options of its subcommand
-# (outputs in {dir}; check-cycles' input is never read, as parsing stops first)
+# (outputs in {dir}; check-cycles' input must exist, but parsing stops
+# before it is read)
 _OUTPUT_CASES = [
     (command, "--out") for command in _DOMAIN_BASES if command != "game"
 ] + [
@@ -650,7 +682,7 @@ _OUTPUT_CASES = [
 _OUTPUT_BASES = {
     **_DOMAIN_BASES,
     "game-verify": ("--t", "3", "--out", "{dir}/verify.csv"),
-    "check-cycles": ("--in", "{dir}/h.txt", "--max-s", "6"),
+    "check-cycles": ("--in", __file__, "--max-s", "6"),
 }
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import pytest
 
@@ -98,6 +99,39 @@ def test_cycle_to_clique_catalogue():
         phi = exists_homomorphism(tight_cycle(3, s), K4)
         assert phi is not None, s
         assert validate_homomorphism(tight_cycle(3, s), K4, phi)
+
+
+def test_long_cycle_search_meets_no_recursion_limit():
+    # each vertex of F is one depth of the search, far past the recursion limit
+    C = tight_cycle(3, 1500)
+    K4 = complete(3, 4)
+    phi = exists_homomorphism(C, K4)
+    assert phi is not None and validate_homomorphism(C, K4, phi)
+
+
+def _digest_pairs():
+    """C_s -> K^3_4 and K^3_5 for s = 4..39, then 300 seeded random pairs at
+    k = 2 and 3 on at most 7 vertices (about 1 in 3 has no homomorphism)."""
+    for m in (4, 5):
+        for s in range(4, 40):
+            yield tight_cycle(3, s), complete(3, m)
+    for seed in range(300):
+        k = 2 + seed % 2
+        F = random_hypergraph(k, 3 + seed % 5, seed, eighths=1 + seed % 7)
+        G = random_hypergraph(k, 2 + seed % 6, seed + 7000, eighths=1 + seed % 8)
+        yield F, G
+
+
+# SHA-256 of the 372 answers of _digest_pairs, one repr a line, taken from
+# the recursive search that the flat one replaced
+HOM_MAPPING_DIGEST = "f859e80ceac2c0c7cf7a78cfabb8ddf34cfe0385551923d55a792435b9fe8716"
+
+
+def test_mappings_match_the_frozen_digest():
+    answers = [repr(exists_homomorphism(F, G)) for F, G in _digest_pairs()]
+    assert len(answers) == 372 and answers.count("None") == 134
+    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert digest == HOM_MAPPING_DIGEST
 
 
 def test_uniformity_mismatch_rejected():

@@ -1,6 +1,9 @@
+import copy
 import gc
 import hashlib
+import inspect
 import itertools
+import pickle
 
 import pytest
 
@@ -353,15 +356,20 @@ def test_period_certificate_matches_brute(k):
     assert excluded > 0
 
 
+def walk_paused(H):
+    """True while H's period walk has started and not ended."""
+    return H._walk is not None and inspect.getgeneratorstate(H._walk) == inspect.GEN_SUSPENDED
+
+
 @pytest.mark.parametrize("k, graphs", [(2, 12), (3, 12), (4, 12), (5, 3)])
 def test_period_early_exit_matches_brute(k, graphs):
-    # find_tight_cycle asks H._admits(s), which may stop the period walk at
+    # find_tight_cycle asks H._admits(s), which may pause the period walk at
     # the first running gcd dividing s.  Three ways in: a fresh H per length
     # (the early exit), one H asked every length in order, up and down (the
-    # kept gcd), and one H after periods() (the cached set).  The tight
-    # cycles add periods 2 and 4 at k = 4, where a kept gcd 2 admits 6 but
-    # not 5.  brute_periods takes up to 1.4 s on a 5-graph, so k = 5 gets
-    # fewer graphs
+    # gcds met and the resumed walk), and one H after periods() (the ended
+    # walk).  The tight cycles add periods 2 and 4 at k = 4, where a met gcd
+    # 2 admits 6 but not 5.  brute_periods takes up to 1.4 s on a 5-graph,
+    # so k = 5 gets fewer graphs
     hosts = [(7, random_hypergraph(k, 7, 50 * k + seed, eighths=1 + seed % 4).edges)
              for seed in range(graphs)]
     if k < 5:
@@ -379,7 +387,7 @@ def test_period_early_exit_matches_brute(k, graphs):
         for s in lengths:
             H = fresh()
             assert H._admits(s) == admitted[s], (edges, s)
-            stopped += H._periods_cache is None
+            stopped += walk_paused(H)
             refused += not admitted[s]
             assert contains_tight_cycle(fresh(), s) == present[s], (edges, s)
             assert (find_tight_cycle(fresh(), s) is not None) == present[s], (edges, s)
@@ -399,15 +407,15 @@ def test_period_early_exit_matches_brute(k, graphs):
 
 def test_spectrum_stops_the_period_walk_on_period_one_hosts():
     # every reference host has a period-1 component, so the first scanned
-    # length stops the walk, the kept gcd 1 admits every later length and
-    # the full period set is never stored; periods() then walks afresh
+    # length stops the walk, the met gcd 1 admits every later length and
+    # the walk never ends; periods() then resumes it
     for i, H in enumerate(reference_hosts()):
         edges = H.edges
         assert 1 in H.periods(), i
         H = Hypergraph(3, 25, edges)
         spectrum = cycle_spectrum(H, 12)
-        assert H._periods_cache is None, i
-        assert H._admit_gcd == 1, i
+        assert walk_paused(H), i
+        assert 1 in H._gcds, i
         periods = H.periods()
         assert periods == Hypergraph(3, 25, edges).periods(), i
         assert cycle_spectrum(H, 12) == spectrum, i  # now from the cached set
@@ -420,10 +428,44 @@ def test_absent_length_fills_the_period_cache(k, n):
     # an absent length walks the whole digraph and stores the period set
     for seed in range(5):
         H = build_hk(sample_graph(k - 1, n, seed), k)
-        assert H._periods_cache is None
+        assert H._walk is None
         assert not contains_tight_cycle(H, k + 1), seed
-        periods = H._periods_cache
+        assert inspect.getgeneratorstate(H._walk) == inspect.GEN_CLOSED
+        periods = H._periods
         assert periods and all(p % k == 0 for p in periods), seed
+
+
+def test_period_walk_starts_once_per_hypergraph(monkeypatch):
+    # a length the gcds met so far leave open resumes the paused walk
+    # instead of walking again from the first root, and so does periods()
+    starts = []
+    walk = hypergraph._period_walk
+
+    def counted(*args):
+        starts.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(hypergraph, "_period_walk", counted)
+    H = tight_cycle(4, 6)
+    assert H._admits(6)  # paused at the running gcd 2
+    assert walk_paused(H)
+    assert not H._admits(5)
+    assert H.periods() == {2, 4} == brute_periods(H)
+    assert len(starts) == 1
+    for i, H in enumerate(reference_hosts()):
+        starts.clear()
+        cycle_spectrum(H, 12)
+        assert 1 in H.periods(), i
+        assert len(starts) == 1, i
+
+
+def test_copies_start_their_own_period_walk():
+    # a paused walk is a generator, which neither pickles nor copies
+    H = tight_cycle(4, 6)
+    assert H._admits(6) and walk_paused(H)
+    for copied in (pickle.loads(pickle.dumps(H)), copy.deepcopy(H), copy.copy(H)):
+        assert copied == H and copied._walk is None
+        assert copied.periods() == H.periods() == {2, 4}
 
 
 def test_lifts_have_periods_divisible_by_k():
@@ -591,6 +633,11 @@ def test_search_leaves_no_reference_cycle(search):
             independence_number_exact(H)
         else:
             cycle_spectrum(host, 12)
+            # a host dropped while its period walk is paused frees the walk too
+            paused = Hypergraph(3, 25, host.edges)
+            cycle_spectrum(paused, 12)
+            assert walk_paused(paused)
+            del paused
         assert gc.collect() == 0
     finally:
         gc.enable()
